@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .maxprod import MaxProdReport, max_product, max_product_values
-from .model import ExceptionSet, WeightFamily, member, weight_from_spec
+from .model import PRESETS, ExceptionSet, WeightFamily, member
 from .qseries import g_table
 
 EVENTUALLY_CONCAVE = "eventually-concave"
@@ -160,7 +160,7 @@ def classify_refined(E: ExceptionSet, n: int, weights: WeightFamily | None = Non
     if (record.strict_growth and record.unique_at and record.unique_above
             and not record.unique_below and len(reports[n - 1].maximizers) == 2
             and n % 3 == 2 and not any(member(E, m) for m in (2, 3, 4))):
-        return classify_delta_branch(E, n, weights or weight_from_spec("power"),
+        return classify_delta_branch(E, n, weights or PRESETS["power"],
                                      probe_ells if probe_ells is not None else range(1, 13))
     return Prediction(UNKNOWN, MECH_NONE, {"hypotheses": record})
 

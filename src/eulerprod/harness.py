@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ from .classify import (
     Prediction,
     classify_pipeline,
 )
-from .model import ExceptionSet, WeightFamily, weight_from_spec
+from .model import ExceptionSet, WeightFamily
 from .qseries import coeffs_by_recurrence
 
 
@@ -80,15 +81,25 @@ class BudgetExceeded(RuntimeError):
         self.partial = partial
 
 
-def _sign_row(task: tuple[ExceptionSet, str, int, int]) -> tuple[int, tuple[int, ...]]:
-    E, weights_id, ell, n_max = task
-    w = weight_from_spec(weights_id)
+def _sign_row(task: tuple[ExceptionSet, WeightFamily, int, int]) -> tuple[int, tuple[int, ...]]:
+    E, w, ell, n_max = task
     p = coeffs_by_recurrence(E, w, ell, n_max + 1).coeffs
     row = []
     for n in range(1, n_max + 1):
         d = p[n] * p[n] - p[n - 1] * p[n + 1]
         row.append((d > 0) - (d < 0))
     return ell, tuple(row)
+
+
+def _worker_count(jobs: int, ell_max: int) -> int:
+    """Pool size: jobs, but no more than the rows or usable cores (a pool starts all up front)."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    return min(jobs, ell_max, cores)
 
 
 def sweep(E: ExceptionSet, w: WeightFamily, n_max: int, ell_max: int,
@@ -98,8 +109,9 @@ def sweep(E: ExceptionSet, w: WeightFamily, n_max: int, ell_max: int,
         raise ValueError(f"n_max must be >= 2, got {n_max}")
     if ell_max < 1:
         raise ValueError(f"ell_max must be >= 1, got {ell_max}")
+    workers = _worker_count(jobs, ell_max)
     start = time.monotonic()
-    tasks = [(E, w.id, ell, n_max) for ell in range(1, ell_max + 1)]
+    tasks = [(E, w, ell, n_max) for ell in range(1, ell_max + 1)]
     rows: list[tuple[int, ...]] = []
 
     def over_budget() -> bool:
@@ -110,8 +122,8 @@ def sweep(E: ExceptionSet, w: WeightFamily, n_max: int, ell_max: int,
         return BudgetExceeded(
             f"budget of {budget_seconds}s exhausted after {len(rows)} of {ell_max} rows", partial)
 
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for _, row in pool.map(_sign_row, tasks):
                 rows.append(row)
                 if len(rows) < ell_max and over_budget():

@@ -8,8 +8,10 @@ where S is the set of allowed part sizes and f_ell is a family of
 positive integer weights indexed by ell >= 1.  This module holds the
 finite descriptions of both ingredients: ExceptionSet encodes the
 forbidden complement E (so S is everything else, and 1 is always
-allowed), and WeightFamily bundles the evaluator (ell, n) -> f_ell(n)
-with its growth envelope exponents phi(ell) <= psi(ell).
+allowed), and WeightFamily holds the exponents of f_ell(n) = n^e
+with its growth envelope exponents phi(ell) <= psi(ell), as plain data
+that hashes and pickles.  The built-in families are presets of the
+schema that custom JSON weight files use.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 
 def divisors(n: int) -> list[int]:
@@ -221,119 +223,106 @@ def exceptions_from_spec(text: str) -> ExceptionSet:
 
 @dataclass(frozen=True)
 class WeightFamily:
-    """A family of weights f_ell with growth envelope metadata.
+    """Weights f_ell(n) = n^e with f_ell(1) = 1 and growth envelope metadata.
 
-    eval(ell, n) must return a positive integer; phi and psi give the
+    e is ell + base, except at each n listed in overrides as (n, a, b, c),
+    where e = a*ell + b + c*(-1)^ell.  phi(ell) and psi(ell) are the
     envelope exponents with n^phi(ell) <= f_ell(n) <= n^psi(ell), and
     envelope_gap bounds psi(ell) - phi(ell) uniformly in ell.
     """
 
     id: str
-    eval: Callable[[int, int], int]
-    phi: Callable[[int], int]
-    psi: Callable[[int], int]
+    base: int
+    overrides: tuple[tuple[int, int, int, int], ...]
+    phi_offset: int
+    psi_offset: int
     envelope_gap: int
 
-
-def _power_eval(ell: int, n: int) -> int:
-    return n ** (ell - 1)
-
-
-def _example1_eval(ell: int, n: int) -> int:
-    if n == 2:
-        return 2 ** ell
-    return n ** (ell - 1)
-
-
-def _example2_eval(ell: int, n: int) -> int:
-    s = -1 if ell % 2 else 1
-    if n == 2:
-        return 2 ** (ell + s)
-    if n == 4:
-        return 4 ** (ell - s)
-    return n ** ell
-
-
-def _exponent_down(ell: int) -> int:
-    return ell - 1
-
-
-def _exponent_flat(ell: int) -> int:
-    return ell
-
-
-def _exponent_up(ell: int) -> int:
-    return ell + 1
-
-
-_EXPONENT_PIECE = re.compile(r"[+-]?(?:ell|alt|\d+)")
-
-
-def _compile_exponent(expr: str, context: str) -> Callable[[int], int]:
-    """Compile an exponent formula over ell into a function of ell.
-
-    Accepted terms, combined with + and -: 'ell', integer literals,
-    and 'alt' for the parity sign (-1)^ell.
-    """
-    text = expr.replace(" ", "")
-    pieces = _EXPONENT_PIECE.findall(text)
-    if not pieces or "".join(pieces) != text:
-        raise ValueError(f"bad exponent formula {expr!r} in {context!r}")
-    terms: list[tuple[int, str]] = []
-    for piece in pieces:
-        sign = 1
-        if piece[0] in "+-":
-            sign = -1 if piece[0] == "-" else 1
-            piece = piece[1:]
-        terms.append((sign, piece))
-
-    def evaluate(ell: int) -> int:
-        total = 0
-        for sign, piece in terms:
-            if piece == "ell":
-                total += sign * ell
-            elif piece == "alt":
-                total += sign * (-1 if ell % 2 else 1)
-            else:
-                total += sign * int(piece)
-        return total
-
-    return evaluate
-
-
-def _custom_weights(path: str) -> WeightFamily:
-    with open(path, encoding="utf-8") as handle:
-        raw = json.load(handle)
-    for key in ("base", "phi", "psi", "B"):
-        if key not in raw:
-            raise ValueError(f"custom weight file {path!r} is missing {key!r}")
-    base_offset = int(raw["base"])
-    phi_offset = int(raw["phi"])
-    psi_offset = int(raw["psi"])
-    gap = int(raw["B"])
-    if gap < 0:
-        raise ValueError(f"B must be non-negative in {path!r}")
-    overrides = {
-        int(key): _compile_exponent(value, f"override {key} in {path}")
-        for key, value in raw.get("overrides", {}).items()
-    }
-
-    def evaluate(ell: int, n: int) -> int:
+    def eval(self, ell: int, n: int) -> int:
         if n == 1:
             return 1
-        rule = overrides.get(n)
-        exponent = rule(ell) if rule else ell + base_offset
+        exponent = ell + self.base
+        for m, a, b, c in self.overrides:
+            if m == n:
+                exponent = a * ell + b + (-c if ell % 2 else c)
         if exponent < 0:
             raise ValueError(f"negative exponent {exponent} for f_{ell}({n}); weights must be positive integers")
         return n ** exponent
 
-    def phi(ell: int) -> int:
-        return ell + phi_offset
+    def phi(self, ell: int) -> int:
+        return ell + self.phi_offset
 
-    def psi(ell: int) -> int:
-        return ell + psi_offset
+    def psi(self, ell: int) -> int:
+        return ell + self.psi_offset
 
-    return WeightFamily(f"custom:{path}", evaluate, phi, psi, gap)
+
+_TERM = "(?:ell|alt|[0-9]+)"
+_FORMULA = re.compile(rf" *[+-]? *{_TERM}(?: *[+-] *{_TERM})* *")
+_SIGNED_TERM = re.compile(rf"([+-]?)({_TERM})")
+
+
+def _linear_form(formula: object, context: str) -> tuple[int, int, int]:
+    """Compile a +/- sum of 'ell', 'alt' = (-1)^ell and integers to (a, b, c): a*ell + b + c*alt."""
+    if not isinstance(formula, str) or not _FORMULA.fullmatch(formula):
+        raise ValueError(f"bad exponent formula {formula!r} in {context}")
+    a = b = c = 0
+    for sign, term in _SIGNED_TERM.findall(formula.replace(" ", "")):
+        k = -1 if sign == "-" else 1
+        if term == "ell":
+            a += k
+        elif term == "alt":
+            c += k
+        else:
+            b += k * int(term)
+    return a, b, c
+
+
+def _from_schema(family_id: str, raw: object, context: str) -> WeightFamily:
+    """Validate one weight description and build its family."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{context} must hold a JSON object, got {type(raw).__name__}")
+    unknown = sorted(set(raw) - {"base", "phi", "psi", "B", "overrides"})
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r} in {context}")
+    for key in ("base", "phi", "psi", "B"):
+        if key not in raw:
+            raise ValueError(f"{context} is missing {key!r}")
+        if type(raw[key]) is not int:
+            raise ValueError(f"{key!r} must be an integer in {context}, got {raw[key]!r}")
+    if raw["B"] < 0:
+        raise ValueError(f"B must be non-negative in {context}")
+    overrides = raw.get("overrides", {})
+    if not isinstance(overrides, dict):
+        raise ValueError(f"'overrides' must be an object in {context}")
+    forms: dict[int, tuple[int, int, int]] = {}
+    for key, formula in overrides.items():
+        # canonical decimals only, so no two keys name the same n
+        if not re.fullmatch("[1-9][0-9]*", key) or int(key) < 2:
+            raise ValueError(f"override key {key!r} in {context} is not an integer >= 2 without leading zeros")
+        forms[int(key)] = _linear_form(formula, f"override {key} in {context}")
+    return WeightFamily(family_id, raw["base"], tuple((n, *forms[n]) for n in sorted(forms)),
+                        raw["phi"], raw["psi"], raw["B"])
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
+    """json object hook: a key given twice is an error, not a silent overwrite."""
+    keys = [key for key, _ in pairs]
+    if len(set(keys)) < len(keys):
+        raise ValueError(f"a key is given twice in the JSON object {{{', '.join(keys)}}}")
+    return dict(pairs)
+
+
+def _custom_weights(path: str) -> WeightFamily:
+    with open(path, encoding="utf-8") as handle:
+        raw = json.load(handle, object_pairs_hook=_unique_keys)
+    return _from_schema(f"custom:{path}", raw, f"custom weight file {path!r}")
+
+
+PRESETS = {name: _from_schema(name, schema, f"preset {name!r}") for name, schema in {
+    "power": {"base": -1, "phi": -1, "psi": -1, "B": 0},
+    "example1": {"base": -1, "overrides": {"2": "ell"}, "phi": -1, "psi": 0, "B": 1},
+    "example2": {"base": 0, "overrides": {"2": "ell+alt", "4": "ell-alt"}, "phi": -1, "psi": 1, "B": 2},
+}.items()}
 
 
 def weight_from_spec(spec: str) -> WeightFamily:
@@ -341,17 +330,13 @@ def weight_from_spec(spec: str) -> WeightFamily:
 
     'power' is n^(ell-1); 'example1' is the same except f_ell(2) = 2^ell;
     'example2' is n^ell except f_ell(2) = 2^(ell+(-1)^ell) and
-    f_ell(4) = 4^(ell-(-1)^ell); 'custom:<path>' reads a JSON file with
-    keys base, overrides, phi, psi, B, all exponent offsets relative to
-    ell except the override formulas.
+    f_ell(4) = 4^(ell-(-1)^ell).  All three are PRESETS of the schema
+    that 'custom:<path>' reads from a JSON object: integers base, phi,
+    psi, B >= 0, and optional overrides from n >= 2 to exponent formulas.
     """
     name = spec.strip()
-    if name == "power":
-        return WeightFamily("power", _power_eval, _exponent_down, _exponent_down, 0)
-    if name == "example1":
-        return WeightFamily("example1", _example1_eval, _exponent_down, _exponent_flat, 1)
-    if name == "example2":
-        return WeightFamily("example2", _example2_eval, _exponent_down, _exponent_up, 2)
+    if name in PRESETS:
+        return PRESETS[name]
     if name.startswith("custom:"):
         return _custom_weights(name[len("custom:"):])
     raise ValueError(f"unknown weight family {spec!r}")

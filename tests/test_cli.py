@@ -128,6 +128,11 @@ class TestSweep:
         assert lines[0] == "n terminal threshold stabilized predicted agrees"
         assert lines[1] == "1 +0 1 yes zero yes"
 
+    @pytest.mark.parametrize("jobs", ["0", "-7"])
+    def test_rejects_bad_jobs(self, capsys, jobs):
+        code, _, err = run(capsys, "sweep", "--n-max", "4", "--ell-max", "2", "--jobs", jobs)
+        assert code == 2 and "error: jobs must be >= 1" in err
+
     def test_budget_exceeded(self, tmp_path, capsys):
         path = tmp_path / "partial.csv"
         code, _, err = run(capsys, "sweep", "--n-max", "40", "--ell-max", "300",
@@ -168,3 +173,20 @@ class TestVerify:
 def test_bad_exception_spec(capsys):
     code, _, err = run(capsys, "delta", "--n", "4", "--exceptions", "nope:")
     assert code == 2 and "error:" in err
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param('{"base": 0, "phi": 0, "psi": 0, "B": 0, "overrides": {"2": 3}}', id="formula-int"),
+    pytest.param('{"base": null, "phi": 0, "psi": 0, "B": 0}', id="base-null"),
+    pytest.param('{"base": 0, "phi": 0, "psi": 0, "B": 0, "overrides": ["ell"]}', id="overrides-list"),
+    pytest.param('{"base": 0.7, "phi": 0, "psi": 0, "B": 0}', id="base-float"),
+    pytest.param('{"base": 0, "phi": 0, "psi": 0, "B": 0, "overrides": {"1": "ell"}}', id="override-n1"),
+    pytest.param('{"base": 0, "phi": 0, "psi": 0, "B": 0, "overrides": {"0": "ell"}}', id="override-n0"),
+    pytest.param('{"base": 0, "phi": 0, "psi": 0, "B": 0, "extra": 1}', id="unknown-key"),
+])
+def test_malformed_weight_file(tmp_path, capsys, text):
+    path = tmp_path / "weights.json"
+    path.write_text(text)
+    code, _, err = run(capsys, "compute", "--weights", f"custom:{path}")
+    assert code == 2 and "Traceback" not in err
+    assert err.startswith("error:") and err.count("\n") == 1

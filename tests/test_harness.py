@@ -1,4 +1,6 @@
 import json
+import os
+import pickle
 
 import pytest
 
@@ -15,6 +17,7 @@ from eulerprod import (
     sweep,
     weight_from_spec,
 )
+from eulerprod.harness import _worker_count
 
 POWER = weight_from_spec("power")
 E24 = exceptions_from_spec("2,4")
@@ -60,6 +63,23 @@ class TestSweep:
             sweep(E24, POWER, 1, 5)
         with pytest.raises(ValueError):
             sweep(E24, POWER, 5, 0)
+        for jobs in (0, -7):
+            with pytest.raises(ValueError):
+                sweep(E24, POWER, 5, 3, jobs=jobs)
+
+    def test_worker_count_clamps(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        assert _worker_count(1, 300) == 1
+        assert _worker_count(64, 300) == 4
+        assert _worker_count(64, 3) == 3
+        for jobs in (0, -7):
+            with pytest.raises(ValueError):
+                _worker_count(jobs, 300)
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert _worker_count(64, 300) == 6
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _worker_count(64, 300) == 1
 
     def test_cell_boundaries(self):
         grid = small_grid()
@@ -148,3 +168,27 @@ class TestEmission:
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError):
             emit_grid(small_grid(), str(tmp_path / "x"), "svg")
+
+
+class TestWeightsAsData:
+    @pytest.fixture
+    def swing_path(self, tmp_path):
+        path = tmp_path / "swing.json"
+        path.write_text(json.dumps({"base": 0, "phi": -1, "psi": 1, "B": 2,
+                                    "overrides": {"2": "ell+alt", "4": "ell-alt"}}))
+        return path
+
+    def test_sweep_never_rereads_weight_file(self, swing_path):
+        w = weight_from_spec(f"custom:{swing_path}")
+        E3 = exceptions_from_spec("3")
+        before = sweep(E3, w, 12, 6)
+        swing_path.unlink()
+        assert sweep(E3, w, 12, 6).signs == before.signs
+        assert sweep(E3, w, 12, 6, jobs=2).signs == before.signs
+
+    def test_families_hash_and_pickle(self, swing_path):
+        for spec in ("power", "example1", "example2", f"custom:{swing_path}"):
+            w = weight_from_spec(spec)
+            clone = pickle.loads(pickle.dumps(w))
+            assert clone == w and hash(clone) == hash(w), spec
+            assert [clone.eval(ell, 4) for ell in (1, 2)] == [w.eval(ell, 4) for ell in (1, 2)]

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from eulerprod import (
     ExceptionSet,
@@ -16,6 +18,7 @@ from eulerprod import (
     support_view,
     weight_from_spec,
 )
+from eulerprod.model import _linear_form
 
 
 @pytest.mark.parametrize("n,expected", [
@@ -163,21 +166,46 @@ class TestWeightFamilies:
         assert w.eval(3, 1) == 1
         assert w.phi(3) == 2 and w.psi(3) == 3 and w.envelope_gap == 1
 
-    def test_custom_alternating_override(self, tmp_path):
+    @pytest.mark.parametrize("preset,twin", [
+        pytest.param("power", {"base": -1, "phi": -1, "psi": -1, "B": 0}, id="power"),
+        pytest.param("example1", {"base": -1, "phi": -1, "psi": 0, "B": 1,
+                                  "overrides": {"2": "ell"}}, id="example1"),
+        pytest.param("example2", {"base": 0, "phi": -1, "psi": 1, "B": 2,
+                                  "overrides": {"2": "ell+alt", "4": "ell-alt"}}, id="example2"),
+    ])
+    def test_custom_twin_matches_preset(self, tmp_path, preset, twin):
         path = tmp_path / "weights.json"
-        path.write_text(json.dumps({
-            "base": 0, "phi": -1, "psi": 1, "B": 2,
-            "overrides": {"2": "ell+alt", "4": "ell-alt"},
-        }))
+        path.write_text(json.dumps(twin))
         w = weight_from_spec(f"custom:{path}")
-        ref = weight_from_spec("example2")
-        for ell in range(1, 7):
-            for n in range(1, 9):
-                assert w.eval(ell, n) == ref.eval(ell, n)
+        ref = weight_from_spec(preset)
+        for ell in range(1, 13):
+            for n in range(1, 41):
+                assert w.eval(ell, n) == ref.eval(ell, n), (ell, n)
+            assert w.phi(ell) == ref.phi(ell) and w.psi(ell) == ref.psi(ell)
+        assert w.envelope_gap == ref.envelope_gap
 
-    def test_custom_missing_key(self, tmp_path):
+    @pytest.mark.parametrize("text", [
+        pytest.param('{"base": 0, "phi": 0, "psi": 0}', id="missing-B"),
+        pytest.param('[0, 0, 0, 0]', id="top-level-list"),
+        pytest.param('{base: 0}', id="not-json"),
+        pytest.param('{"base": 0, "phi": 0, "psi": 0, "B": 0, "extra": 1}', id="unknown-key"),
+        pytest.param('{"base": null, "phi": 0, "psi": 0, "B": 0}', id="base-null"),
+        pytest.param('{"base": 0.7, "phi": 0, "psi": 0, "B": 0}', id="base-float"),
+        pytest.param('{"base": true, "phi": 0, "psi": 0, "B": 0}', id="base-bool"),
+        pytest.param('{"base": 0, "phi": "0", "psi": 0, "B": 0}', id="phi-string"),
+        pytest.param('{"base": 0, "phi": 0, "psi": 0, "B": -1}', id="B-negative"),
+        pytest.param('{"base": 0, "phi": 0, "psi": 0, "B": 0, "overrides": ["ell"]}', id="overrides-list"),
+        pytest.param('{"base": 0, "phi": 0, "psi": 0, "B": 0, "overrides": {"1": "ell"}}', id="override-n1"),
+        pytest.param('{"base": 0, "phi": 0, "psi": 0, "B": 0, "overrides": {"0": "ell"}}', id="override-n0"),
+        pytest.param('{"base": 0, "phi": 0, "psi": 0, "B": 0, "overrides": {"x": "ell"}}', id="override-nx"),
+        pytest.param('{"base": 0, "phi": 0, "psi": 0, "B": 0, "overrides": {"2": "ell", "02": "ell"}}',
+                     id="override-n2-twice"),
+        pytest.param('{"base": 0, "phi": 0, "psi": 0, "B": 0, "overrides": {"2": "ell", "2": "0"}}',
+                     id="override-key-twice"),
+    ])
+    def test_custom_malformed_file(self, tmp_path, text):
         path = tmp_path / "weights.json"
-        path.write_text(json.dumps({"base": 0, "phi": 0, "psi": 0}))
+        path.write_text(text)
         with pytest.raises(ValueError):
             weight_from_spec(f"custom:{path}")
 
@@ -188,11 +216,15 @@ class TestWeightFamilies:
         with pytest.raises(ValueError):
             w.eval(1, 2)
 
-    def test_custom_bad_formula(self, tmp_path):
+    @pytest.mark.parametrize("formula", [
+        "ell*2", 3, None, pytest.param(["ell"], id="list"), pytest.param("", id="empty"),
+        "2ell", "1 2", "e ll", "ell+", "ell--1", "+-ell", "ell+x", "(ell)",
+    ])
+    def test_custom_bad_formula(self, tmp_path, formula):
         path = tmp_path / "weights.json"
         path.write_text(json.dumps({
             "base": 0, "phi": 0, "psi": 0, "B": 0,
-            "overrides": {"2": "ell*2"},
+            "overrides": {"2": formula},
         }))
         with pytest.raises(ValueError):
             weight_from_spec(f"custom:{path}")
@@ -200,3 +232,25 @@ class TestWeightFamilies:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             weight_from_spec("cubic")
+
+
+_TERMS = st.one_of(st.sampled_from(["ell", "alt"]), st.integers(0, 10**12).map(str))
+_SPACE = st.sampled_from(["", " ", "  "])
+
+
+@st.composite
+def _formulas(draw):
+    """Exponent formulas from the grammar, in a form Python also evaluates."""
+    terms = draw(st.lists(_TERMS, min_size=1, max_size=8))
+    parts = [draw(_SPACE), draw(st.sampled_from(["", "+", "-"])), draw(_SPACE), terms[0]]
+    for term in terms[1:]:
+        parts += [draw(_SPACE), draw(st.sampled_from("+-")), draw(_SPACE), term]
+    return "".join(parts + [draw(_SPACE)])
+
+
+@given(_formulas())
+def test_formula_linear_form_matches_python(formula):
+    a, b, c = _linear_form(formula, "test")
+    for ell in range(1, 6):
+        alt = (-1) ** ell
+        assert a * ell + b + c * alt == eval(formula, {}, {"ell": ell, "alt": alt})
