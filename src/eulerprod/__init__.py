@@ -64,6 +64,7 @@ from .qseries import (
     DeltaValue,
     GTable,
     PartitionTable,
+    bounded_signs,
     check_bounds,
     check_g_bounds,
     coeffs_by_product,

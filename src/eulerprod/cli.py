@@ -161,8 +161,16 @@ def _run_sweep(args: argparse.Namespace) -> int:
     E = exceptions_from_spec(args.exceptions)
     w = weight_from_spec(args.weights)
     try:
-        grid = sweep(E, w, args.n_max, args.ell_max,
-                     jobs=args.jobs, budget_seconds=args.budget_seconds)
+        with contextlib.ExitStack() as stack:
+            on_row = None
+            if args.stats is not None:
+                stats = stack.enter_context(open(args.stats, "w", encoding="utf-8"))
+
+                def on_row(ell: int, path: str, seconds: float) -> None:
+                    stats.write(json.dumps({"ell": ell, "path": path, "seconds": round(seconds, 6)}) + "\n")
+
+            grid = sweep(E, w, args.n_max, args.ell_max, jobs=args.jobs,
+                         budget_seconds=args.budget_seconds, on_row=on_row)
     except BudgetExceeded as exc:
         if args.out is not None:
             emit_grid(exc.partial, args.out, args.format)
@@ -255,6 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json", "pbm"), default="csv")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--budget-seconds", type=float)
+    p.add_argument("--stats", metavar="PATH",
+                   help="write one JSON line per row to PATH: ell, the path that decided "
+                        "it (bounded or exact) and its seconds")
     p.set_defaults(run=_run_sweep)
 
     p = sub.add_parser("verify", help="run a named verification suite")

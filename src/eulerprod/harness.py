@@ -1,7 +1,9 @@
 """Sign grids over (n, ell), stabilization thresholds, file emission.
 
-A sweep computes sign(p(n)^2 - p(n-1) p(n+1)) exactly for every cell
-of an (n, ell) rectangle, one coefficient table per ell.  Stabilization
+A sweep computes sign(p(n)^2 - p(n-1) p(n+1)) for every cell of an
+(n, ell) rectangle, one row per ell: certified from fixed-width
+interval bounds when the row is large, from the exact coefficient
+table otherwise or when an interval cannot decide a cell.  Stabilization
 reduces each column to its terminal sign and the least ell from which
 that sign persists, and compares against classifier predictions.
 """
@@ -10,11 +12,12 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .classify import (
     EVENTUALLY_CONCAVE,
@@ -25,7 +28,7 @@ from .classify import (
     classify_pipeline,
 )
 from .model import ExceptionSet, WeightFamily
-from .qseries import coeffs_by_recurrence
+from .qseries import bounded_signs, coeffs_by_recurrence, prefers_bounded
 
 
 @dataclass(frozen=True)
@@ -81,14 +84,21 @@ class BudgetExceeded(RuntimeError):
         self.partial = partial
 
 
-def _sign_row(task: tuple[ExceptionSet, WeightFamily, int, int]) -> tuple[int, tuple[int, ...]]:
+def _sign_row(task: tuple[ExceptionSet, WeightFamily, int, int]) -> tuple[int, tuple[int, ...], str, float]:
+    """One grid row: (ell, signs, the path that decided them, seconds taken)."""
     E, w, ell, n_max = task
-    p = coeffs_by_recurrence(E, w, ell, n_max + 1).coeffs
-    row = []
-    for n in range(1, n_max + 1):
-        d = p[n] * p[n] - p[n - 1] * p[n + 1]
-        row.append((d > 0) - (d < 0))
-    return ell, tuple(row)
+    start = time.perf_counter()
+    row = bounded_signs(E, w, ell, n_max) if prefers_bounded(E, w, ell, n_max) else None
+    path = "bounded"
+    if row is None:
+        path = "exact"
+        p = coeffs_by_recurrence(E, w, ell, n_max + 1).coeffs
+        signs = []
+        for n in range(1, n_max + 1):
+            d = p[n] * p[n] - p[n - 1] * p[n + 1]
+            signs.append((d > 0) - (d < 0))
+        row = tuple(signs)
+    return ell, row, path, time.perf_counter() - start
 
 
 def _worker_count(jobs: int, ell_max: int) -> int:
@@ -103,12 +113,21 @@ def _worker_count(jobs: int, ell_max: int) -> int:
 
 
 def sweep(E: ExceptionSet, w: WeightFamily, n_max: int, ell_max: int,
-          jobs: int = 1, budget_seconds: float | None = None) -> SignGrid:
-    """Exact sign grid for n in 1..n_max, ell in 1..ell_max."""
+          jobs: int = 1, budget_seconds: float | None = None,
+          on_row: Callable[[int, str, float], None] | None = None) -> SignGrid:
+    """Exact sign grid for n in 1..n_max, ell in 1..ell_max.
+
+    Each row is certified by bounded_signs when the row is large enough to
+    gain from it, and computed by the exact recurrence otherwise or when a
+    cell stays undecided.  on_row, if given, is called in ell order with
+    (ell, "bounded" or "exact", seconds the row took).
+    """
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
     if ell_max < 1:
         raise ValueError(f"ell_max must be >= 1, got {ell_max}")
+    if budget_seconds is not None and not 0 <= budget_seconds < math.inf:
+        raise ValueError(f"budget_seconds must be finite and >= 0, got {budget_seconds}")
     workers = _worker_count(jobs, ell_max)
     start = time.monotonic()
     tasks = [(E, w, ell, n_max) for ell in range(1, ell_max + 1)]
@@ -122,10 +141,15 @@ def sweep(E: ExceptionSet, w: WeightFamily, n_max: int, ell_max: int,
         return BudgetExceeded(
             f"budget of {budget_seconds}s exhausted after {len(rows)} of {ell_max} rows", partial)
 
+    def keep(ell: int, row: tuple[int, ...], path: str, seconds: float) -> None:
+        rows.append(row)
+        if on_row is not None:
+            on_row(ell, path, seconds)
+
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for _, row in pool.map(_sign_row, tasks):
-                rows.append(row)
+            for result in pool.map(_sign_row, tasks):
+                keep(*result)
                 if len(rows) < ell_max and over_budget():
                     pool.shutdown(wait=False, cancel_futures=True)
                     raise bail()
@@ -133,7 +157,7 @@ def sweep(E: ExceptionSet, w: WeightFamily, n_max: int, ell_max: int,
         for task in tasks:
             if rows and over_budget():
                 raise bail()
-            rows.append(_sign_row(task)[1])
+            keep(*_sign_row(task))
     return SignGrid(E, w, n_max, (1, ell_max), tuple(rows))
 
 

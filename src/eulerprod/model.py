@@ -221,6 +221,11 @@ def exceptions_from_spec(text: str) -> ExceptionSet:
     return ExceptionSet(frozenset(atoms), tuple(families))
 
 
+# far above the largest weight the suites and benchmark use (about 2.4k bits);
+# it stops a runaway exponent before the power is built
+MAX_WEIGHT_BITS = 1 << 20
+
+
 @dataclass(frozen=True)
 class WeightFamily:
     """Weights f_ell(n) = n^e with f_ell(1) = 1 and growth envelope metadata.
@@ -238,16 +243,22 @@ class WeightFamily:
     psi_offset: int
     envelope_gap: int
 
-    def eval(self, ell: int, n: int) -> int:
-        if n == 1:
-            return 1
+    def exponent(self, ell: int, n: int) -> int:
+        """The e with f_ell(n) = n^e for n >= 2; ValueError if e < 0 or n^e may exceed MAX_WEIGHT_BITS bits."""
         exponent = ell + self.base
         for m, a, b, c in self.overrides:
             if m == n:
                 exponent = a * ell + b + (-c if ell % 2 else c)
         if exponent < 0:
             raise ValueError(f"negative exponent {exponent} for f_{ell}({n}); weights must be positive integers")
-        return n ** exponent
+        if exponent * n.bit_length() > MAX_WEIGHT_BITS:
+            raise ValueError(f"f_{ell}({n}) = {n}^{exponent} may exceed the weight ceiling of {MAX_WEIGHT_BITS} bits")
+        return exponent
+
+    def eval(self, ell: int, n: int) -> int:
+        if n == 1:
+            return 1
+        return n ** self.exponent(ell, n)
 
     def phi(self, ell: int) -> int:
         return ell + self.phi_offset

@@ -4,13 +4,18 @@ Two independent paths produce the coefficients p(0..N) of
 prod_{m in S} (1 - q^m)^(-f_ell(m)): a divisor-sum recurrence and a
 truncated product of negative-binomial series.  They must agree
 exactly; the recurrence is the workhorse, the product the oracle.
-All arithmetic is exact big-integer arithmetic, no floats anywhere.
+For sign grids, bounded_signs runs the same recurrence on fixed-width
+integer intervals and certifies each sign or gives up.  All arithmetic
+is integer arithmetic, no floats anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, repeat
 from math import factorial
+from operator import add, ge
+from typing import Iterator
 
 from .model import (
     ExceptionSet,
@@ -102,6 +107,113 @@ def coeffs_by_recurrence(E: ExceptionSet, w: WeightFamily, ell: int, N: int) -> 
                     f"inexact division at n={n}: the log-derivative identity guarantees divisibility, so this is a bug")
             coeffs[n] = q
     return PartitionTable(E, w, ell, tuple(coeffs))
+
+
+# mantissa width of the intervals in bounded_signs
+MANTISSA_BITS = 96
+# rows of smaller size (see prefers_bounded) are faster on the exact recurrence;
+# the crossover measured on sweeps with N from 37 to 201 lies between 15k and 25k
+BOUNDED_MIN_SIZE = 20_000
+
+
+def prefers_bounded(E: ExceptionSet, w: WeightFamily, ell: int, n_max: int) -> bool:
+    """Whether bounded_signs is expected to beat the exact recurrence on this row.
+
+    The row's size is N = n_max + 1 times the bit length bound of its largest
+    allowed weight f_ell(m), m <= N: the exact products grow with both, the
+    bounded ones stay MANTISSA_BITS wide.
+    """
+    N = n_max + 1
+    bits = max((w.exponent(ell, m) * m.bit_length() for m in range(2, N + 1) if not member(E, m)), default=0)
+    return N * bits >= BOUNDED_MIN_SIZE
+
+
+def _interval(x: int) -> tuple[int, int, int]:
+    """(lo, hi, e) with lo * 2^e <= x <= hi * 2^e and hi <= 2^MANTISSA_BITS; (x, x, 0) when x fits."""
+    e = x.bit_length() - MANTISSA_BITS
+    if e <= 0:
+        return x, x, 0
+    return x >> e, ((x - 1) >> e) + 1, e
+
+
+def _interval_sign(a: tuple[int, int, int], b: tuple[int, int, int], c: tuple[int, int, int]) -> int | None:
+    """Certified sign of b^2 - a c for intervals (lo, hi, e), or None when they cannot decide it."""
+    (lo0, hi0, e0), (lo1, hi1, e1), (lo2, hi2, e2) = a, b, c
+    t = 2 * e1 - e0 - e2
+    sq_lo, sq_hi = lo1 * lo1, hi1 * hi1
+    pr_lo, pr_hi = lo0 * lo2, hi0 * hi2
+    if t > 0:
+        sq_lo, sq_hi = sq_lo << t, sq_hi << t
+    elif t < 0:
+        pr_lo, pr_hi = pr_lo << -t, pr_hi << -t
+    if sq_lo > pr_hi:
+        return 1
+    if sq_hi < pr_lo:
+        return -1
+    if sq_lo == sq_hi == pr_lo == pr_hi:  # lo == hi for a, b and c: all three are exact
+        return 0
+    return None
+
+
+def _bounded_coeffs(E: ExceptionSet, w: WeightFamily, ell: int, N: int) -> Iterator[tuple[int, int, int]]:
+    """Yield (lo, hi, e) with lo * 2^e <= p(n) <= hi * 2^e and hi <= 2^MANTISSA_BITS for n = 0..N.
+
+    The recurrence of coeffs_by_recurrence on intervals: every term is
+    positive, so each product, alignment shift and division by n rounds
+    down for lo and up for hi.  A value stays exact (lo == hi, e = 0)
+    while it and every g(k) and p(j) it is computed from fit the width.
+    """
+    g_lo, g_hi, g_e = zip(*map(_interval, g_table(E, w, ell, N).values[1:]))
+    g_m = list(zip(g_lo, g_hi))
+    p_m, p_e = [(1, 1)], [0]
+    yield 1, 1, 0
+    for n in range(1, N + 1):
+        # term k is g(k) p(n-k) at exponent exps[k-1]; aligning all terms to the largest
+        # exponent makes every shift go right
+        exps = list(map(add, g_e, reversed(p_e)))
+        top = max(exps)
+        # mantissas are at most 2^MANTISSA_BITS, so a term shifted further than twice that
+        # adds 0 to lo and exactly 1 to hi, which the n ones below already count
+        near = map(ge, exps, repeat(top - 2 * MANTISSA_BITS))
+        lo = hi = 0
+        for (a_lo, a_hi), (b_lo, b_hi), x in compress(zip(g_m, reversed(p_m), exps), near):
+            s = top - x
+            lo += a_lo * b_lo >> s
+            hi += a_hi * b_hi - 1 >> s  # ceil(y / 2^s) - 1 for y >= 1
+        lo //= n
+        hi = -(-(hi + n) // n)
+        # renormalize hi to the full width: right shifts round outward, left shifts are exact
+        s = max(hi.bit_length() - MANTISSA_BITS, -top)
+        if s > 0:
+            lo, hi = lo >> s, ((hi - 1) >> s) + 1
+        elif s < 0:
+            lo, hi = lo << -s, hi << -s
+        p_m.append((lo, hi))
+        p_e.append(top + s)
+        yield lo, hi, top + s
+
+
+def bounded_signs(E: ExceptionSet, w: WeightFamily, ell: int, n_max: int) -> tuple[int, ...] | None:
+    """Certified signs of p(n)^2 - p(n-1) p(n+1) for n = 1..n_max, or None if any is undecided.
+
+    Runs the recurrence on intervals [lo, hi] * 2^e with integer mantissas
+    of at most MANTISSA_BITS bits.  A cell is +1 when
+    lo(p_n)^2 > hi(p_n-1) hi(p_n+1), -1 when hi(p_n)^2 < lo(p_n-1) lo(p_n+1),
+    and 0 only when all three values are exact and the two sides equal.
+    The first undecided cell ends the run.
+    """
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    signs = []
+    a = b = None
+    for c in _bounded_coeffs(E, w, ell, n_max + 1):
+        if a is not None:
+            sign = _interval_sign(a, b, c)
+            if sign is None:
+                return None
+            signs.append(sign)
+        a, b = b, c
+    return tuple(signs)
 
 
 def coeffs_by_product(E: ExceptionSet, w: WeightFamily, ell: int, N: int) -> PartitionTable:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from eulerprod import CheckResult, SuiteReport, parse_grid_csv
+from eulerprod import CheckResult, SuiteReport, parse_grid_csv, weight_from_spec
 from eulerprod.cli import main
 
 
@@ -133,6 +133,41 @@ class TestSweep:
         code, _, err = run(capsys, "sweep", "--n-max", "4", "--ell-max", "2", "--jobs", jobs)
         assert code == 2 and "error: jobs must be >= 1" in err
 
+    @pytest.mark.parametrize("budget", ["-1", "nan", "inf"])
+    def test_rejects_bad_budget(self, capsys, budget):
+        code, out, err = run(capsys, "sweep", "--n-max", "3", "--ell-max", "2",
+                             "--budget-seconds", budget)
+        assert code == 2 and out == ""
+        assert err.startswith("error: budget_seconds") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "pbm", None])
+    def test_stats_leave_outputs_unchanged(self, tmp_path, capsys, fmt):
+        argv = ["sweep", "--exceptions", "2,4", "--n-max", "50", "--ell-max", "70"]
+        if fmt is not None:
+            argv += ["--format", fmt]
+        outputs = []
+        for name, extra in (("plain", []), ("stats", ["--stats", str(tmp_path / "rows.jsonl")])):
+            out_args = [] if fmt is None else ["--out", str(tmp_path / f"{name}.{fmt}")]
+            code, out, err = run(capsys, *argv, *out_args, *extra)
+            assert code == 0 and err == ""
+            data = b"" if fmt is None else (tmp_path / f"{name}.{fmt}").read_bytes()
+            outputs.append((out, data))
+        assert outputs[0] == outputs[1]
+        rows = [json.loads(line) for line in (tmp_path / "rows.jsonl").read_text().splitlines()]
+        assert [row["ell"] for row in rows] == list(range(1, 71))
+        assert all(set(row) == {"ell", "path", "seconds"} for row in rows)
+        assert {row["path"] for row in rows} == {"bounded", "exact"}
+
+    def test_stats_show_sparse_support_exact(self, tmp_path, capsys):
+        path = tmp_path / "rows.jsonl"
+        code, _, _ = run(capsys, "sweep", "--exceptions", "support:1,3", "--n-max", "60",
+                         "--ell-max", "170", "--jobs", "2", "--out", str(tmp_path / "grid.csv"),
+                         "--stats", str(path))
+        assert code == 0
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [row["ell"] for row in rows] == list(range(1, 171))
+        assert {row["path"] for row in rows} == {"exact"}
+
     def test_budget_exceeded(self, tmp_path, capsys):
         path = tmp_path / "partial.csv"
         code, _, err = run(capsys, "sweep", "--n-max", "40", "--ell-max", "300",
@@ -190,3 +225,14 @@ def test_malformed_weight_file(tmp_path, capsys, text):
     code, _, err = run(capsys, "compute", "--weights", f"custom:{path}")
     assert code == 2 and "Traceback" not in err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_huge_weight_file(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text('{"base": 1000000000000, "phi": 0, "psi": 0, "B": 0}')
+    # refused by the model first, so a missing check fails here instead of building the power
+    with pytest.raises(ValueError, match="ceiling"):
+        weight_from_spec(f"custom:{path}").exponent(1, 2)
+    code, out, err = run(capsys, "compute", "--weights", f"custom:{path}", "--n-max", "3")
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err.startswith("error:") and "ceiling" in err and err.count("\n") == 1

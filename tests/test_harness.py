@@ -18,6 +18,7 @@ from eulerprod import (
     weight_from_spec,
 )
 from eulerprod.harness import _worker_count
+from eulerprod.qseries import prefers_bounded
 
 POWER = weight_from_spec("power")
 E24 = exceptions_from_spec("2,4")
@@ -66,6 +67,23 @@ class TestSweep:
         for jobs in (0, -7):
             with pytest.raises(ValueError):
                 sweep(E24, POWER, 5, 3, jobs=jobs)
+
+    @pytest.mark.parametrize("budget", [-1.0, float("nan"), float("inf")])
+    def test_rejects_bad_budget(self, budget):
+        with pytest.raises(ValueError, match="budget_seconds"):
+            sweep(E24, POWER, 5, 3, budget_seconds=budget)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_on_row_reports_each_row_in_order(self, jobs):
+        seen = []
+        grid = sweep(E24, POWER, 50, 70, jobs=jobs,
+                     on_row=lambda ell, path, seconds: seen.append((ell, path, seconds)))
+        assert [ell for ell, _, _ in seen] == list(range(1, 71))
+        routes = ["bounded" if prefers_bounded(E24, POWER, ell, 50) else "exact" for ell in range(1, 71)]
+        assert [path for _, path, _ in seen] == routes
+        assert routes[0] == "exact" and routes[-1] == "bounded"
+        assert all(seconds > 0 for _, _, seconds in seen)
+        assert grid.signs == sweep(E24, POWER, 50, 70).signs
 
     def test_worker_count_clamps(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)

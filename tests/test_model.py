@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -9,6 +10,7 @@ from eulerprod import (
     MultiplesOf,
     PowersOf,
     SupportComplement,
+    WeightFamily,
     divisors,
     enumerate_members,
     exceptions_from_spec,
@@ -18,7 +20,7 @@ from eulerprod import (
     support_view,
     weight_from_spec,
 )
-from eulerprod.model import _linear_form
+from eulerprod.model import MAX_WEIGHT_BITS, _linear_form
 
 
 @pytest.mark.parametrize("n,expected", [
@@ -214,6 +216,34 @@ class TestWeightFamilies:
         path.write_text(json.dumps({"base": -2, "phi": -2, "psi": 0, "B": 2}))
         w = weight_from_spec(f"custom:{path}")
         with pytest.raises(ValueError):
+            w.eval(1, 2)
+
+    def test_weight_ceiling_checked_before_the_power(self):
+        w = WeightFamily("big", 0, (), 0, 0, 0)
+        # n = 2 has bit length 2, so 2^e passes exactly at e = MAX_WEIGHT_BITS / 2
+        assert w.eval(MAX_WEIGHT_BITS // 2, 2) == 1 << (MAX_WEIGHT_BITS // 2)
+        # 3^e for this e would take about 104 KB; the refusal allocates next to nothing
+        ell = MAX_WEIGHT_BITS // 2 + 1
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="ceiling"):
+                w.eval(ell, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8192
+        with pytest.raises(ValueError, match="ceiling"):
+            w.exponent(ell, 3)
+
+    def test_custom_huge_base_refused(self, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"base": 10**12, "phi": 0, "psi": 0, "B": 0}))
+        w = weight_from_spec(f"custom:{path}")
+        assert w.eval(1, 1) == 1
+        # exponent() first: without the check it returns 10^12 + 1 instead of building 2^(10^12 + 1)
+        with pytest.raises(ValueError, match="ceiling"):
+            w.exponent(1, 2)
+        with pytest.raises(ValueError, match="ceiling"):
             w.eval(1, 2)
 
     @pytest.mark.parametrize("formula", [
