@@ -36,13 +36,13 @@ from .harness import (
 )
 from .maxprod import (
     MaxProdReport,
+    MaxProdTable,
     PartitionMultiset,
     SupportHead,
     closed_form_max,
     max_product,
     max_product_bruteforce,
     max_product_values,
-    second_max,
 )
 from .model import (
     ExceptionSet,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .maxprod import MaxProdReport, max_product, max_product_values
+from .maxprod import MaxProdTable
 from .model import PRESETS, ExceptionSet, WeightFamily, member
 from .qseries import g_table
 
@@ -81,14 +81,16 @@ class Prediction:
     detail: dict
 
 
+def _quotient(best: tuple[int, ...], n: int) -> QValue:
+    q = Fraction(best[n] * best[n], best[n - 1] * best[n + 1])
+    return QValue(n, q, GREATER_THAN_1 if q > 1 else LESS_THAN_1 if q < 1 else EQUAL_1)
+
+
 def q_value(E: ExceptionSet, n: int) -> QValue:
     """Exact quotient M(n)^2 / (M(n-1) M(n+1)) with its trichotomy."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    m = max_product_values(E, n + 1)
-    q = Fraction(m[n] * m[n], m[n - 1] * m[n + 1])
-    relation = GREATER_THAN_1 if q > 1 else LESS_THAN_1 if q < 1 else EQUAL_1
-    return QValue(n, q, relation)
+    return _quotient(MaxProdTable(E, n + 1).best, n)
 
 
 def classify_basic(E: ExceptionSet, n: int) -> Prediction:
@@ -101,35 +103,22 @@ def classify_basic(E: ExceptionSet, n: int) -> Prediction:
     return Prediction(UNKNOWN, MECH_NONE, {"q": qv.q, "note": "quotient ties at 1; try the refined criterion"})
 
 
-def _reports_window(E: ExceptionSet, n: int) -> dict[int, MaxProdReport]:
-    return {m: max_product(E, m) for m in (n - 1, n, n + 1)}
-
-
-def _balanced(reports: dict[int, MaxProdReport], n: int) -> bool:
-    if not (reports[n - 1].unique and reports[n].unique and reports[n + 1].unique):
-        return False
-    doubled = sorted(reports[n].maximizers[0].parts * 2)
-    merged = sorted(reports[n - 1].maximizers[0].parts + reports[n + 1].maximizers[0].parts)
-    return doubled == merged
+def _a_ratio(table: MaxProdTable, n: int, growth_guard: int) -> ARatio:
+    below, at, above = (table.report(m) for m in (n - 1, n, n + 1))
+    lo = max(2, n - 1 - growth_guard)
+    strict = all(table.best[m] > table.best[m - 1] for m in range(lo, n + 2 + growth_guard))
+    balanced = (below.unique and at.unique and above.unique
+                and sorted(at.maximizers[0].parts * 2)
+                == sorted(below.maximizers[0].parts + above.maximizers[0].parts))
+    record = HypothesisRecord(strict, below.unique, at.unique, above.unique, balanced)
+    return ARatio(n, at.coefficient ** 2 / (below.coefficient * above.coefficient), record)
 
 
 def a_ratio(E: ExceptionSet, n: int, growth_guard: int = 5) -> ARatio:
     """Coefficient ratio A(n)^2 / (A(n-1) A(n+1)) with hypothesis record."""
     if n < 2:
         raise ValueError(f"the ratio needs n >= 2, got {n}")
-    reports = _reports_window(E, n)
-    values = max_product_values(E, n + 1 + growth_guard)
-    lo = max(2, n - 1 - growth_guard)
-    strict = all(values[m] > values[m - 1] for m in range(lo, n + 2 + growth_guard))
-    record = HypothesisRecord(
-        strict,
-        reports[n - 1].unique,
-        reports[n].unique,
-        reports[n + 1].unique,
-        _balanced(reports, n),
-    )
-    ratio = reports[n].coefficient ** 2 / (reports[n - 1].coefficient * reports[n + 1].coefficient)
-    return ARatio(n, ratio, record)
+    return _a_ratio(MaxProdTable(E, n + 1 + max(growth_guard, 0)), n, growth_guard)
 
 
 def classify_refined(E: ExceptionSet, n: int, weights: WeightFamily | None = None,
@@ -142,12 +131,15 @@ def classify_refined(E: ExceptionSet, n: int, weights: WeightFamily | None = Non
     parts 2, 3, 4 allowed and n = 2 mod 3, the verdict is delegated to
     the conditional branch analysis.  Anything else stays unknown.
     """
-    qv = q_value(E, n)
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    table = MaxProdTable(E, n + 1 + max(growth_guard, 0))
+    qv = _quotient(table.best, n)
     if qv.q != 1:
         raise ValueError(f"refined criterion needs quotient 1 at n={n}, got {qv.q}")
     if n < 2:
         return Prediction(UNKNOWN, MECH_NONE, {"note": "window n-1, n, n+1 leaves the table"})
-    ar = a_ratio(E, n, growth_guard)
+    ar = _a_ratio(table, n, growth_guard)
     record = ar.hypotheses
     if record.all_hold():
         detail = {"ratio": ar.ratio, "hypotheses": record}
@@ -156,9 +148,8 @@ def classify_refined(E: ExceptionSet, n: int, weights: WeightFamily | None = Non
         if ar.ratio < 1:
             return Prediction(EVENTUALLY_CONVEX, MECH_A, detail)
         return Prediction(UNKNOWN, MECH_NONE, detail)
-    reports = _reports_window(E, n)
     if (record.strict_growth and record.unique_at and record.unique_above
-            and not record.unique_below and len(reports[n - 1].maximizers) == 2
+            and not record.unique_below and len(table.report(n - 1).maximizers) == 2
             and n % 3 == 2 and not any(member(E, m) for m in (2, 3, 4))):
         return classify_delta_branch(E, n, weights or PRESETS["power"],
                                      probe_ells if probe_ells is not None else range(1, 13))

@@ -130,7 +130,6 @@ def sweep(E: ExceptionSet, w: WeightFamily, n_max: int, ell_max: int,
         raise ValueError(f"budget_seconds must be finite and >= 0, got {budget_seconds}")
     workers = _worker_count(jobs, ell_max)
     start = time.monotonic()
-    tasks = [(E, w, ell, n_max) for ell in range(1, ell_max + 1)]
     rows: list[tuple[int, ...]] = []
 
     def over_budget() -> bool:
@@ -148,16 +147,17 @@ def sweep(E: ExceptionSet, w: WeightFamily, n_max: int, ell_max: int,
 
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
+            tasks = [(E, w, ell, n_max) for ell in range(1, ell_max + 1)]
             for result in pool.map(_sign_row, tasks):
                 keep(*result)
                 if len(rows) < ell_max and over_budget():
                     pool.shutdown(wait=False, cancel_futures=True)
                     raise bail()
     else:
-        for task in tasks:
+        for ell in range(1, ell_max + 1):
             if rows and over_budget():
                 raise bail()
-            keep(*_sign_row(task))
+            keep(*_sign_row((E, w, ell, n_max)))
     return SignGrid(E, w, n_max, (1, ell_max), tuple(rows))
 
 

@@ -9,6 +9,7 @@ coefficient asymptotics.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -82,50 +83,63 @@ def _assemble(n: int, product: int, parts_list: list[tuple[int, ...]],
     return MaxProdReport(n, product, maximizers, len(maximizers) == 1, coefficient, second)
 
 
+@dataclass(frozen=True, init=False)
+class MaxProdTable:
+    """Maximal and runner-up products (None if absent) for every target 0..n_max.
+
+    One dynamic program fills both; report() lists the maximizers on demand.
+    """
+
+    parts: tuple[int, ...]
+    best: tuple[int, ...]
+    second: tuple[int | None, ...]
+
+    def __init__(self, E: ExceptionSet, n_max: int) -> None:
+        if n_max < 0:
+            raise ValueError(f"n_max must be >= 0, got {n_max}")
+        parts = support_view(E, n_max).elements if n_max >= 1 else ()
+        # second[r] is 0 when r has no runner-up; for a first part s the best
+        # product below best[r] is s * best[r - s], or s * second[r - s] on a tie
+        best, second = [1], [0]
+        for r in range(1, n_max + 1):
+            usable = parts[:bisect_right(parts, r)]
+            products = [s * best[r - s] for s in usable]
+            best.append(max(products))
+            second.append(max(v if v < best[r] else s * second[r - s] for s, v in zip(usable, products)))
+        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "best", tuple(best))
+        object.__setattr__(self, "second", tuple(v or None for v in second))
+
+    def report(self, n: int) -> MaxProdReport:
+        """Full report at n, with the maximizers rebuilt from the table.
+
+        A part s leads a maximizer of r (parts non-increasing) exactly when
+        s * best[r - s] == best[r]; the rest is then a maximizer of r - s
+        with parts <= s.  An explicit stack keeps chains such as 1^n off
+        the call stack.
+        """
+        if not 0 <= n < len(self.best):
+            raise ValueError(f"n must be in 0..{len(self.best) - 1}, got {n}")
+        best, hits, stack = self.best, [], [(n, n, ())]
+        while stack:
+            r, cap, acc = stack.pop()
+            if r == 0:
+                hits.append(acc)
+            usable = self.parts[:bisect_right(self.parts, min(r, cap))]
+            stack.extend((r - s, s, acc + (s,)) for s in usable if s * best[r - s] == best[r])
+        return _assemble(n, best[n], hits, self.second[n])
+
+
 def max_product_values(E: ExceptionSet, n_max: int) -> tuple[int, ...]:
     """The maximal products for every target 0..n_max, values only."""
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
-    best = [1] * (n_max + 1)
-    if n_max >= 1:
-        parts = support_view(E, n_max).elements
-        for r in range(1, n_max + 1):
-            best[r] = max(s * best[r - s] for s in parts if s <= r)
-    return tuple(best)
+    return MaxProdTable(E, n_max).best
 
 
 def max_product(E: ExceptionSet, n: int) -> MaxProdReport:
     """Full report at n via dynamic programming over remaining sum."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    if n == 0:
-        return _assemble(0, 1, [()], None)
-    parts = support_view(E, n).elements
-    best = [1] * (n + 1)
-    # top two distinct products per remainder; a third-best value can
-    # never climb back into the top two after multiplying by a part
-    second: list[int | None] = [None] * (n + 1)
-    argsets: list[set[tuple[int, ...]]] = [set() for _ in range(n + 1)]
-    argsets[0].add(())
-    for r in range(1, n + 1):
-        candidates: set[int] = set()
-        for s in parts:
-            if s > r:
-                break
-            candidates.add(s * best[r - s])
-            if second[r - s] is not None:
-                candidates.add(s * second[r - s])
-        ordered = sorted(candidates, reverse=True)
-        best[r] = ordered[0]
-        if len(ordered) > 1:
-            second[r] = ordered[1]
-        for s in parts:
-            if s > r:
-                break
-            if s * best[r - s] == best[r]:
-                for tail in argsets[r - s]:
-                    argsets[r].add(tuple(sorted((s,) + tail, reverse=True)))
-    return _assemble(n, best[n], list(argsets[n]), second[n])
+    return MaxProdTable(E, n).report(n)
 
 
 def max_product_bruteforce(E: ExceptionSet, n: int,
@@ -152,18 +166,12 @@ def max_product_bruteforce(E: ExceptionSet, n: int,
             if acc_product == best:
                 hits.append(acc)
             return
-        for s in reversed(parts):
-            if s <= min(remaining, cap):
-                extend(remaining - s, s, acc + (s,), acc_product * s)
+        for s in reversed(parts[:bisect_right(parts, min(remaining, cap))]):
+            extend(remaining - s, s, acc + (s,), acc_product * s)
 
     extend(n, n, (), 1)
     runners = [p for p in products if p < best]
     return _assemble(n, best, hits, max(runners) if runners else None)
-
-
-def second_max(E: ExceptionSet, n: int) -> int | None:
-    """Largest product strictly below the maximum; None if absent."""
-    return max_product(E, n).second_product
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import json
 import os
 import pickle
+import tracemalloc
 
 import pytest
 
@@ -58,6 +59,17 @@ class TestSweep:
         assert partial.ell_range[0] == 1
         assert 1 <= partial.ell_range[1] < 300
         assert len(partial.signs) == partial.ell_range[1]
+
+    def test_serial_rows_are_not_built_up_front(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded) as info:
+                sweep(exceptions_from_spec("none"), POWER, 2, 10**6, budget_seconds=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(info.value.partial.signs) == 1
+        assert peak < 1 << 20
 
     def test_validation(self):
         with pytest.raises(ValueError):

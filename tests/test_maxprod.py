@@ -1,8 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eulerprod import (
+    BATTERY,
+    MaxProdTable,
     PartitionMultiset,
     SupportHead,
     closed_form_max,
@@ -10,7 +14,6 @@ from eulerprod import (
     max_product,
     max_product_bruteforce,
     max_product_values,
-    second_max,
 )
 
 
@@ -86,8 +89,43 @@ class TestMaxProduct:
 
     def test_second_max_helper(self):
         E = exceptions_from_spec("none")
-        assert second_max(E, 6) == 8
-        assert second_max(E, 1) is None
+        assert max_product(E, 6).second_product == 8
+        assert max_product(E, 1).second_product is None
+
+    def test_deep_chain_single_part(self):
+        r = max_product(exceptions_from_spec("support:1"), 2000)
+        assert r.product == 1 and parts_of(r) == [(1,) * 2000]
+        assert r.second_product is None
+
+    def test_deep_chain_dead_ends(self):
+        # at every odd remainder both 1 and 2 lead; only the last 1 is not a dead end
+        r = max_product(exceptions_from_spec("support:1,2"), 2001)
+        assert r.product == 2 ** 1000 and parts_of(r) == [(2,) * 1000 + (1,)]
+        assert r.second_product == 2 ** 999
+
+
+class TestMaxProdTable:
+    def test_report_range(self):
+        table = MaxProdTable(exceptions_from_spec("none"), 5)
+        for n in (-1, 6):
+            with pytest.raises(ValueError):
+                table.report(n)
+        with pytest.raises(ValueError):
+            MaxProdTable(exceptions_from_spec("none"), -1)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_prefix_agrees_with_bruteforce(self, data):
+        spec = data.draw(st.one_of(
+            st.sampled_from(BATTERY),
+            st.sets(st.integers(2, 40), max_size=6).map(
+                lambda kept: "support:" + ",".join(map(str, [1, *sorted(kept)])))))
+        E = exceptions_from_spec(spec)
+        N = data.draw(st.integers(0, 40))
+        n = data.draw(st.integers(0, min(N, 28)))
+        table = MaxProdTable(E, N)
+        assert table.report(n) == max_product_bruteforce(E, n)
+        assert table.best[:n + 1] == max_product_values(E, n)
 
 
 class TestBruteForce:
