@@ -42,6 +42,7 @@ from .maxprod import (
     closed_form_max,
     max_product,
     max_product_bruteforce,
+    max_product_bruteforce_all,
     max_product_values,
 )
 from .model import (

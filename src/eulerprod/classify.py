@@ -37,6 +37,8 @@ MECH_NONE = "none"
 GREATER_THAN_1 = "greater-than-1"
 EQUAL_1 = "equal-1"
 LESS_THAN_1 = "less-than-1"
+# default growth_guard: the refined criterion reads the table up to n + 1 + this
+_GROWTH_GUARD = 5
 
 
 @dataclass(frozen=True)
@@ -95,12 +97,18 @@ def q_value(E: ExceptionSet, n: int) -> QValue:
 
 def classify_basic(E: ExceptionSet, n: int) -> Prediction:
     """Quotient criterion: above 1 concave, below 1 convex, tie open."""
-    qv = q_value(E, n)
-    if qv.q > 1:
-        return Prediction(EVENTUALLY_CONCAVE, MECH_Q, {"q": qv.q})
-    if qv.q < 1:
-        return Prediction(EVENTUALLY_CONVEX, MECH_Q, {"q": qv.q})
-    return Prediction(UNKNOWN, MECH_NONE, {"q": qv.q, "note": "quotient ties at 1; try the refined criterion"})
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    return _basic(MaxProdTable(E, n + 1), n)
+
+
+def _basic(table: MaxProdTable, n: int) -> Prediction:
+    q = _quotient(table.best, n).q
+    if q > 1:
+        return Prediction(EVENTUALLY_CONCAVE, MECH_Q, {"q": q})
+    if q < 1:
+        return Prediction(EVENTUALLY_CONVEX, MECH_Q, {"q": q})
+    return Prediction(UNKNOWN, MECH_NONE, {"q": q, "note": "quotient ties at 1; try the refined criterion"})
 
 
 def _a_ratio(table: MaxProdTable, n: int, growth_guard: int) -> ARatio:
@@ -114,7 +122,7 @@ def _a_ratio(table: MaxProdTable, n: int, growth_guard: int) -> ARatio:
     return ARatio(n, at.coefficient ** 2 / (below.coefficient * above.coefficient), record)
 
 
-def a_ratio(E: ExceptionSet, n: int, growth_guard: int = 5) -> ARatio:
+def a_ratio(E: ExceptionSet, n: int, growth_guard: int = _GROWTH_GUARD) -> ARatio:
     """Coefficient ratio A(n)^2 / (A(n-1) A(n+1)) with hypothesis record."""
     if n < 2:
         raise ValueError(f"the ratio needs n >= 2, got {n}")
@@ -123,7 +131,7 @@ def a_ratio(E: ExceptionSet, n: int, growth_guard: int = 5) -> ARatio:
 
 def classify_refined(E: ExceptionSet, n: int, weights: WeightFamily | None = None,
                      probe_ells: Iterable[int] | None = None,
-                     growth_guard: int = 5) -> Prediction:
+                     growth_guard: int = _GROWTH_GUARD) -> Prediction:
     """Coefficient-ratio criterion for the quotient tie Q(n) = 1.
 
     All hypotheses holding, the ratio decides the verdict.  When only
@@ -133,7 +141,11 @@ def classify_refined(E: ExceptionSet, n: int, weights: WeightFamily | None = Non
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    table = MaxProdTable(E, n + 1 + max(growth_guard, 0))
+    return _refined(E, MaxProdTable(E, n + 1 + max(growth_guard, 0)), n, weights, probe_ells, growth_guard)
+
+
+def _refined(E: ExceptionSet, table: MaxProdTable, n: int, weights: WeightFamily | None,
+             probe_ells: Iterable[int] | None, growth_guard: int) -> Prediction:
     qv = _quotient(table.best, n)
     if qv.q != 1:
         raise ValueError(f"refined criterion needs quotient 1 at n={n}, got {qv.q}")
@@ -298,13 +310,28 @@ def classify_pipeline(E: ExceptionSet, n: int, weights: WeightFamily | None = No
     falls through to the refined path so the answer carries exact
     probe data; it is restored if the refined path decides nothing.
     """
-    table = theorem_table(E, n)
-    if table.verdict not in (UNKNOWN, CONDITIONAL):
-        return table
-    basic = classify_basic(E, n)
+    return _pipeline_columns(E, (n,), weights, probe_ells)[n]
+
+
+def _pipeline_columns(E: ExceptionSet, ns: Iterable[int], weights: WeightFamily | None,
+                      probe_ells: Iterable[int] | None = None) -> dict[int, Prediction]:
+    """classify_pipeline at each n, with one max-product table for all the open columns."""
+    out = {n: theorem_table(E, n) for n in ns}
+    open_ns = [n for n, p in out.items() if p.verdict in (UNKNOWN, CONDITIONAL)]
+    if open_ns:
+        maxprod = MaxProdTable(E, max(open_ns) + 1 + _GROWTH_GUARD)
+        for n in open_ns:
+            out[n] = _after_table(E, n, out[n], maxprod, weights, probe_ells)
+    return out
+
+
+def _after_table(E: ExceptionSet, n: int, table: Prediction, maxprod: MaxProdTable,
+                 weights: WeightFamily | None, probe_ells: Iterable[int] | None) -> Prediction:
+    """The quotient, then the refined tie-break, after an open theorem-table verdict."""
+    basic = _basic(maxprod, n)
     if basic.verdict != UNKNOWN or n < 2:
         return table if table.verdict == CONDITIONAL else basic
-    refined = classify_refined(E, n, weights, probe_ells)
+    refined = _refined(E, maxprod, n, weights, probe_ells, _GROWTH_GUARD)
     if refined.verdict == UNKNOWN and table.verdict == CONDITIONAL:
         return table
     return refined

@@ -15,8 +15,10 @@ import json
 import math
 import os
 import time
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Mapping
 
 from .classify import (
@@ -25,10 +27,10 @@ from .classify import (
     UNKNOWN,
     ZERO,
     Prediction,
-    classify_pipeline,
+    _pipeline_columns,
 )
 from .model import ExceptionSet, WeightFamily
-from .qseries import bounded_signs, coeffs_by_recurrence, prefers_bounded
+from .qseries import bounded_signs, coeffs_by_recurrence, delta, prefers_bounded
 
 
 @dataclass(frozen=True)
@@ -92,12 +94,8 @@ def _sign_row(task: tuple[ExceptionSet, WeightFamily, int, int]) -> tuple[int, t
     path = "bounded"
     if row is None:
         path = "exact"
-        p = coeffs_by_recurrence(E, w, ell, n_max + 1).coeffs
-        signs = []
-        for n in range(1, n_max + 1):
-            d = p[n] * p[n] - p[n - 1] * p[n + 1]
-            signs.append((d > 0) - (d < 0))
-        row = tuple(signs)
+        table = coeffs_by_recurrence(E, w, ell, n_max + 1)
+        row = tuple(delta(table, n).sign for n in range(1, n_max + 1))
     return ell, row, path, time.perf_counter() - start
 
 
@@ -145,19 +143,22 @@ def sweep(E: ExceptionSet, w: WeightFamily, n_max: int, ell_max: int,
         if on_row is not None:
             on_row(ell, path, seconds)
 
+    tasks = ((E, w, ell, n_max) for ell in range(1, ell_max + 1))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            tasks = [(E, w, ell, n_max) for ell in range(1, ell_max + 1)]
-            for result in pool.map(_sign_row, tasks):
-                keep(*result)
+            # at most 2 rows per worker in flight, refilled in ell order
+            pending = deque(pool.submit(_sign_row, task) for task in islice(tasks, 2 * workers))
+            while pending:
+                keep(*pending.popleft().result())
                 if len(rows) < ell_max and over_budget():
                     pool.shutdown(wait=False, cancel_futures=True)
                     raise bail()
+                pending.extend(pool.submit(_sign_row, task) for task in islice(tasks, 1))
     else:
-        for ell in range(1, ell_max + 1):
+        for task in tasks:
             if rows and over_budget():
                 raise bail()
-            keep(*_sign_row((E, w, ell, n_max)))
+            keep(*_sign_row(task))
     return SignGrid(E, w, n_max, (1, ell_max), tuple(rows))
 
 
@@ -185,9 +186,8 @@ def stabilization(grid: SignGrid, predictions: Mapping[int, Prediction]) -> list
 
 
 def default_predictions(grid: SignGrid) -> dict[int, Prediction]:
-    """One pipeline prediction per column of the grid."""
-    return {n: classify_pipeline(grid.exceptions, n, grid.weights)
-            for n in range(1, grid.n_max + 1)}
+    """One pipeline prediction per column of the grid, all read from one max-product table."""
+    return _pipeline_columns(grid.exceptions, range(1, grid.n_max + 1), grid.weights)
 
 
 def _emit_csv(grid: SignGrid, path: str) -> None:

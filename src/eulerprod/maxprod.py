@@ -142,36 +142,42 @@ def max_product(E: ExceptionSet, n: int) -> MaxProdReport:
     return MaxProdTable(E, n).report(n)
 
 
+def max_product_bruteforce_all(E: ExceptionSet, n_max: int,
+                               bound: int = BRUTE_FORCE_BOUND) -> tuple[MaxProdReport, ...]:
+    """Reports for every target 0..n_max by one exhaustive walk; refuses large targets.
+
+    Every non-increasing sequence of allowed parts with sum at most n_max is
+    a partition of its own sum, and part 1 is always allowed, so the walk for
+    n_max visits each partition of every smaller target once.
+    """
+    if n_max < 0:
+        raise ValueError(f"n must be >= 0, got {n_max}")
+    if n_max > bound:
+        raise ValueError(f"brute force is capped at n <= {bound}, got {n_max}")
+    parts = support_view(E, n_max).elements if n_max >= 1 else ()
+    # per target: best product, best product below it (0 if none), partitions attaining best
+    best = [0] * (n_max + 1)
+    second = [0] * (n_max + 1)
+    hits: list[list[tuple[int, ...]]] = [[] for _ in range(n_max + 1)]
+    stack = [(0, n_max, (), 1)]
+    while stack:
+        total, cap, acc, product = stack.pop()
+        if product > best[total]:
+            second[total], best[total] = best[total], product
+            hits[total] = [acc]
+        elif product == best[total]:
+            hits[total].append(acc)
+        elif product > second[total]:
+            second[total] = product
+        stack.extend((total + s, s, acc + (s,), product * s)
+                     for s in parts[:bisect_right(parts, min(n_max - total, cap))])
+    return tuple(_assemble(n, best[n], hits[n], second[n] or None) for n in range(n_max + 1))
+
+
 def max_product_bruteforce(E: ExceptionSet, n: int,
                            bound: int = BRUTE_FORCE_BOUND) -> MaxProdReport:
-    """Same report by exhaustive enumeration; refuses large targets."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if n > bound:
-        raise ValueError(f"brute force is capped at n <= {bound}, got {n}")
-    if n == 0:
-        return _assemble(0, 1, [()], None)
-    parts = support_view(E, n).elements
-    products: set[int] = set()
-    hits: list[tuple[int, ...]] = []
-    best = 0
-
-    def extend(remaining: int, cap: int, acc: tuple[int, ...], acc_product: int) -> None:
-        nonlocal best
-        if remaining == 0:
-            products.add(acc_product)
-            if acc_product > best:
-                best = acc_product
-                hits.clear()
-            if acc_product == best:
-                hits.append(acc)
-            return
-        for s in reversed(parts[:bisect_right(parts, min(remaining, cap))]):
-            extend(remaining - s, s, acc + (s,), acc_product * s)
-
-    extend(n, n, (), 1)
-    runners = [p for p in products if p < best]
-    return _assemble(n, best, hits, max(runners) if runners else None)
+    """Same report as max_product by exhaustive enumeration; refuses large targets."""
+    return max_product_bruteforce_all(E, n, bound)[n]
 
 
 @dataclass(frozen=True)

@@ -14,14 +14,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .classify import EVENTUALLY_CONCAVE, MECH_A, classify_refined, q_value
+from .classify import EVENTUALLY_CONCAVE, MECH_A, _quotient, classify_refined
 from .harness import default_predictions, stabilization, sweep
 from .maxprod import (
     MaxProdReport,
+    MaxProdTable,
     SupportHead,
     closed_form_max,
-    max_product,
-    max_product_bruteforce,
+    max_product_bruteforce_all,
 )
 from .model import ExceptionSet, exceptions_from_spec, support_view, weight_from_spec
 from .qseries import (
@@ -134,8 +134,9 @@ def _suite_maxprod() -> SuiteReport:
     failures: list[str] = []
     for espec in BATTERY:
         E = exceptions_from_spec(espec)
+        table, brute = MaxProdTable(E, 28), max_product_bruteforce_all(E, 28)
         for n in range(29):
-            if max_product(E, n) != max_product_bruteforce(E, n):
+            if table.report(n) != brute[n]:
                 failures.append(f"E={{{espec}}} n={n}")
     return SuiteReport("maxprod", (
         _result("dp-vs-bruteforce", failures,
@@ -186,36 +187,36 @@ def _suite_lemmas() -> SuiteReport:
 
     failures: list[str] = []
     for espec, head in _SMALLEST_PART_2:
-        E = exceptions_from_spec(espec)
+        table = MaxProdTable(exceptions_from_spec(espec), 60)
         for n in range(1, 61):
-            if not _closed_form_agrees(closed_form_max(head, n), max_product(E, n)):
+            if not _closed_form_agrees(closed_form_max(head, n), table.report(n)):
                 failures.append(f"E={{{espec}}} n={n}")
     checks.append(_result("smallest-part-two-cases", failures,
                           "seven heads with second element 2, n <= 60"))
 
     failures = []
     for espec, head in _ISOLATED_BLOCKS:
-        E = exceptions_from_spec(espec)
+        table = MaxProdTable(exceptions_from_spec(espec), 60)
         for n in range(1, 61):
-            if not _closed_form_agrees(closed_form_max(head, n), max_product(E, n)):
+            if not _closed_form_agrees(closed_form_max(head, n), table.report(n)):
                 failures.append(f"E={{{espec}}} n={n}")
     checks.append(_result("isolated-block-form", failures,
                           "blocks of a2 plus ones when the next element is >= 2 a2, n <= 60"))
 
     failures = []
     for espec, head, threshold, a2 in _CONSECUTIVE_PAIRS:
-        E = exceptions_from_spec(espec)
+        table = MaxProdTable(exceptions_from_spec(espec), threshold + 3 * a2)
         for n in range(threshold, threshold + 3 * a2 + 1):
-            if not _closed_form_agrees(closed_form_max(head, n), max_product(E, n)):
+            if not _closed_form_agrees(closed_form_max(head, n), table.report(n)):
                 failures.append(f"E={{{espec}}} n={n}")
     checks.append(_result("consecutive-pair-form", failures,
                           "a2, a2+1 mix beyond the validity threshold, a2 in 3..5"))
 
     failures = []
     for espec, a2 in (("2", 3), ("2,4", 3), ("2,3", 4), ("2,3,4", 5)):
-        E = exceptions_from_spec(espec)
+        table = MaxProdTable(exceptions_from_spec(espec), 40)
         for n in range(1, 41):
-            for m in max_product(E, n).maximizers:
+            for m in table.report(n).maximizers:
                 if any(p >= 2 * a2 for p in m.parts):
                     failures.append(f"E={{{espec}}} n={n}: part >= {2 * a2} in {m.parts}")
     checks.append(_result("maximizer-part-ceiling", failures,
@@ -223,9 +224,9 @@ def _suite_lemmas() -> SuiteReport:
 
     failures = []
     for espec, a2 in (("2", 3), ("2,4", 3), ("2,3", 4)):
-        E = exceptions_from_spec(espec)
+        table = MaxProdTable(exceptions_from_spec(espec), 40)
         for n in range(1, 41):
-            for m in max_product(E, n).maximizers:
+            for m in table.report(n).maximizers:
                 for part, mult in m.multiplicities().items():
                     if part != a2 and mult >= a2:
                         failures.append(f"E={{{espec}}} n={n}: {part}^{mult} in {m.parts}")
@@ -261,9 +262,9 @@ def _suite_qtables() -> SuiteReport:
     for label, especs, modulus, expected, lo, hi in _QUOTIENT_CASES:
         failures: list[str] = []
         for espec in especs:
-            E = exceptions_from_spec(espec)
+            best = MaxProdTable(exceptions_from_spec(espec), hi + 1).best
             for n in range(lo, hi + 1):
-                got = q_value(E, n).q
+                got = _quotient(best, n).q
                 want = expected[n % modulus]
                 if got != want:
                     failures.append(f"E={{{espec}}} n={n}: {got} vs {want}")

@@ -1,13 +1,17 @@
 import json
 import os
 import pickle
+import time
 import tracemalloc
 
 import pytest
 
 from eulerprod import (
+    BATTERY,
     BudgetExceeded,
+    MaxProdTable,
     SignGrid,
+    classify_pipeline,
     coeffs_by_recurrence,
     default_predictions,
     delta,
@@ -70,6 +74,14 @@ class TestSweep:
             tracemalloc.stop()
         assert len(info.value.partial.signs) == 1
         assert peak < 1 << 20
+
+    def test_pooled_rows_are_not_submitted_up_front(self):
+        # on a one-core machine the pool is clamped to serial; the bound holds either way
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded) as info:
+            sweep(exceptions_from_spec("none"), POWER, 2, 200000, jobs=2, budget_seconds=0)
+        assert time.perf_counter() - start < 1
+        assert len(info.value.partial.signs) == 1
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -145,6 +157,34 @@ class TestStabilization:
         assert rows[2].threshold == 3 and not rows[2].stabilized
         assert rows[1].threshold == 1 and rows[1].stabilized
         assert rows[1].agrees is None and rows[1].predicted == "unknown"
+
+
+def blank_grid(E, w, n_max):
+    return SignGrid(E, w, n_max, (1, 1), ((0,) * n_max,))
+
+
+class TestDefaultPredictions:
+    @pytest.mark.parametrize("wspec", ["power", "example1", "example2"])
+    def test_match_the_pipeline_column_by_column(self, wspec):
+        w = weight_from_spec(wspec)
+        for espec in BATTERY:
+            E = exceptions_from_spec(espec)
+            expected = {n: classify_pipeline(E, n, w) for n in range(1, 61)}
+            assert default_predictions(blank_grid(E, w, 60)) == expected, espec
+
+    def test_one_max_product_table_per_grid(self, monkeypatch):
+        built = []
+        init = MaxProdTable.__init__
+
+        def counting(self, E, n_max):
+            built.append(n_max)
+            init(self, E, n_max)
+
+        monkeypatch.setattr(MaxProdTable, "__init__", counting)
+        predictions = default_predictions(blank_grid(E24, POWER, 50))
+        assert len(predictions) == 50
+        # the theorem table leaves only columns 2 and 3 open; the refined step reads up to n + 6
+        assert built == [3 + 6]
 
 
 class TestEmission:

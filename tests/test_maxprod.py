@@ -13,6 +13,7 @@ from eulerprod import (
     exceptions_from_spec,
     max_product,
     max_product_bruteforce,
+    max_product_bruteforce_all,
     max_product_values,
 )
 
@@ -127,6 +128,21 @@ class TestMaxProdTable:
         assert table.report(n) == max_product_bruteforce(E, n)
         assert table.best[:n + 1] == max_product_values(E, n)
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_one_table_and_one_walk_serve_every_target(self, data):
+        spec = data.draw(st.one_of(
+            st.sampled_from(BATTERY),
+            st.sets(st.integers(2, 28), max_size=6).map(
+                lambda kept: "support:" + ",".join(map(str, [1, *sorted(kept)])))))
+        E = exceptions_from_spec(spec)
+        N = data.draw(st.integers(0, 28))
+        table, walk = MaxProdTable(E, N), max_product_bruteforce_all(E, N)
+        assert len(walk) == N + 1
+        for n in range(N + 1):
+            assert table.report(n) == max_product(E, n)
+            assert walk[n] == max_product_bruteforce(E, n)
+
 
 class TestBruteForce:
     @pytest.mark.parametrize("espec", ["none", "2,4", "powers:2", "support:1,3"])
@@ -138,6 +154,14 @@ class TestBruteForce:
     def test_refuses_large_targets(self):
         with pytest.raises(ValueError):
             max_product_bruteforce(exceptions_from_spec("none"), 31)
+        for n_max in (-1, 31):
+            with pytest.raises(ValueError):
+                max_product_bruteforce_all(exceptions_from_spec("none"), n_max)
+
+    def test_walk_from_the_empty_partition(self):
+        walk = max_product_bruteforce_all(exceptions_from_spec("none"), 0)
+        assert len(walk) == 1 and walk[0].product == 1 and parts_of(walk[0]) == [()]
+        assert walk[0].second_product is None
 
 
 class TestSupportHead:

@@ -1,6 +1,6 @@
 import pytest
 
-from eulerprod import SUITE_IDS, CheckResult, SuiteReport, verify_suite
+from eulerprod import BATTERY, SUITE_IDS, CheckResult, MaxProdTable, SuiteReport, maxprod, suites, verify_suite
 
 
 def test_suite_registry():
@@ -24,6 +24,25 @@ def test_maxprod_suite_passes():
     assert report.passed
     assert [c.name for c in report.checks] == ["dp-vs-bruteforce"]
     assert report.checks[0].details
+
+
+def test_maxprod_suite_builds_one_table_and_one_walk_per_spec(monkeypatch):
+    built, walks = [], []
+    init, walk = MaxProdTable.__init__, maxprod.max_product_bruteforce_all
+
+    def counting_init(self, E, n_max):
+        built.append(n_max)
+        init(self, E, n_max)
+
+    def counting_walk(E, n_max, *args):
+        walks.append(n_max)
+        return walk(E, n_max, *args)
+
+    monkeypatch.setattr(MaxProdTable, "__init__", counting_init)
+    for module in (maxprod, suites):
+        monkeypatch.setattr(module, "max_product_bruteforce_all", counting_walk)
+    assert verify_suite("maxprod").passed
+    assert built == walks == [28] * len(BATTERY)
 
 
 def test_reduced_grid_reports_unsettled_columns():
