@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .maxprod import MaxProdTable
+from .maxprod import MaxProdTable, _coefficient
 from .model import PRESETS, ExceptionSet, WeightFamily, member
 from .qseries import g_table
 
@@ -112,14 +112,13 @@ def _basic(table: MaxProdTable, n: int) -> Prediction:
 
 
 def _a_ratio(table: MaxProdTable, n: int, growth_guard: int) -> ARatio:
-    below, at, above = (table.report(m) for m in (n - 1, n, n + 1))
+    below, at, above = (table.maximizers(m) for m in (n - 1, n, n + 1))
     lo = max(2, n - 1 - growth_guard)
     strict = all(table.best[m] > table.best[m - 1] for m in range(lo, n + 2 + growth_guard))
-    balanced = (below.unique and at.unique and above.unique
-                and sorted(at.maximizers[0].parts * 2)
-                == sorted(below.maximizers[0].parts + above.maximizers[0].parts))
-    record = HypothesisRecord(strict, below.unique, at.unique, above.unique, balanced)
-    return ARatio(n, at.coefficient ** 2 / (below.coefficient * above.coefficient), record)
+    unique = len(below) == 1, len(at) == 1, len(above) == 1
+    balanced = all(unique) and sorted(at[0].parts * 2) == sorted(below[0].parts + above[0].parts)
+    record = HypothesisRecord(strict, *unique, balanced)
+    return ARatio(n, _coefficient(at) ** 2 / (_coefficient(below) * _coefficient(above)), record)
 
 
 def a_ratio(E: ExceptionSet, n: int, growth_guard: int = _GROWTH_GUARD) -> ARatio:
@@ -161,7 +160,7 @@ def _refined(E: ExceptionSet, table: MaxProdTable, n: int, weights: WeightFamily
             return Prediction(EVENTUALLY_CONVEX, MECH_A, detail)
         return Prediction(UNKNOWN, MECH_NONE, detail)
     if (record.strict_growth and record.unique_at and record.unique_above
-            and not record.unique_below and len(table.report(n - 1).maximizers) == 2
+            and not record.unique_below and len(table.maximizers(n - 1)) == 2
             and n % 3 == 2 and not any(member(E, m) for m in (2, 3, 4))):
         return classify_delta_branch(E, n, weights or PRESETS["power"],
                                      probe_ells if probe_ells is not None else range(1, 13))

@@ -14,6 +14,7 @@ import contextlib
 import csv
 import json
 import sys
+import time
 from dataclasses import asdict, is_dataclass
 from fractions import Fraction
 
@@ -201,7 +202,10 @@ def _run_verify(args: argparse.Namespace) -> int:
     suites = SUITE_IDS if args.suite == "all" else (args.suite,)
     all_passed = True
     for suite in suites:
+        start = time.perf_counter()
         report = verify_suite(suite, **(params if suite == "figure1" else {}))
+        if args.timings:
+            print(f"{suite} {time.perf_counter() - start:.3f}", file=sys.stderr)
         for check in report.checks:
             mark = "PASS" if check.passed else "FAIL"
             line = f"{mark} {suite}/{check.name}"
@@ -273,6 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, help="figure1 only")
     p.add_argument("--ell-max", type=int, help="figure1 only")
     p.add_argument("--jobs", type=int, help="figure1 only")
+    p.add_argument("--timings", action="store_true",
+                   help="print '<suite> <seconds>' per suite to stderr")
     p.set_defaults(run=_run_verify)
     return parser
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import factorial
 
 from .model import ExceptionSet, support_view
@@ -75,59 +76,100 @@ class MaxProdReport:
     second_product: int | None
 
 
+def _canonical(parts_list) -> tuple[PartitionMultiset, ...]:
+    return tuple(PartitionMultiset(p) for p in sorted({tuple(sorted(p, reverse=True)) for p in parts_list}))
+
+
+def _coefficient(maximizers: tuple[PartitionMultiset, ...]) -> Fraction:
+    """Sum of the maximizers' ordering coefficients: the A(n) of coefficient asymptotics."""
+    return sum((m.ordering_coefficient() for m in maximizers), Fraction(0))
+
+
 def _assemble(n: int, product: int, parts_list: list[tuple[int, ...]],
               second: int | None) -> MaxProdReport:
-    canon = sorted({tuple(sorted(p, reverse=True)) for p in parts_list})
-    maximizers = tuple(PartitionMultiset(p) for p in canon)
-    coefficient = sum((m.ordering_coefficient() for m in maximizers), Fraction(0))
-    return MaxProdReport(n, product, maximizers, len(maximizers) == 1, coefficient, second)
+    maximizers = _canonical(parts_list)
+    return MaxProdReport(n, product, maximizers, len(maximizers) == 1, _coefficient(maximizers), second)
 
 
 @dataclass(frozen=True, init=False)
 class MaxProdTable:
-    """Maximal and runner-up products (None if absent) for every target 0..n_max.
+    """Maximal products for every target 0..n_max, from the parts that can lead a maximizer.
 
-    One dynamic program fills both; report() lists the maximizers on demand.
+    Call an allowed part s dominated when some partition of s into at
+    least two allowed parts has product >= s.  Replacing a dominated part
+    in a maximizer by that partition never lowers the product and strictly
+    lowers the sum of squared parts, so the descent ends in a maximizer
+    whose parts are all undominated: best[r] is the largest t * best[r - t]
+    over undominated t <= r.  One pass over r finds c(r), that maximum over
+    undominated t < r (the best product of r in two or more parts); r in S
+    is undominated exactly when r > c(r), and then best[r] = r.  A part
+    with c(s) > s never occurs in a maximizer, since
+    s * best[r - s] < best[s] * best[r - s] <= best[r]; the parts with
+    c(s) <= s are the leads.  The runner-up products come from the
+    all-parts recurrence, built the first time report() needs them.
     """
 
     parts: tuple[int, ...]
+    leads: tuple[int, ...]
     best: tuple[int, ...]
-    second: tuple[int | None, ...]
 
     def __init__(self, E: ExceptionSet, n_max: int) -> None:
         if n_max < 0:
             raise ValueError(f"n_max must be >= 0, got {n_max}")
         parts = support_view(E, n_max).elements if n_max >= 1 else ()
-        # second[r] is 0 when r has no runner-up; for a first part s the best
-        # product below best[r] is s * best[r - s], or s * second[r - s] on a tie
-        best, second = [1], [0]
+        allowed = set(parts)
+        best, undominated, leads = [1], [], []
         for r in range(1, n_max + 1):
-            usable = parts[:bisect_right(parts, r)]
-            products = [s * best[r - s] for s in usable]
-            best.append(max(products))
-            second.append(max(v if v < best[r] else s * second[r - s] for s, v in zip(usable, products)))
+            c = max((t * best[r - t] for t in undominated), default=0)
+            if r in allowed and c <= r:
+                leads.append(r)
+                if c < r:
+                    undominated.append(r)
+            best.append(max(c, r) if r in allowed else c)
         object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "leads", tuple(leads))
         object.__setattr__(self, "best", tuple(best))
-        object.__setattr__(self, "second", tuple(v or None for v in second))
 
-    def report(self, n: int) -> MaxProdReport:
-        """Full report at n, with the maximizers rebuilt from the table.
+    @cached_property
+    def second(self) -> tuple[int | None, ...]:
+        """Runner-up product (None if absent) for every target, over all allowed parts.
 
-        A part s leads a maximizer of r (parts non-increasing) exactly when
+        For a first part s the best product below best[r] is s * best[r - s],
+        or s * second[r - s] when that ties best[r]; 0 marks no runner-up.
+        """
+        best, second = self.best, [0]
+        for r in range(1, len(best)):
+            runner_up = 0
+            for s in self.parts[:bisect_right(self.parts, r)]:
+                v = s * best[r - s]
+                runner_up = max(runner_up, v if v < best[r] else s * second[r - s])
+            second.append(runner_up)
+        return tuple(v or None for v in second)
+
+    def maximizers(self, n: int) -> tuple[PartitionMultiset, ...]:
+        """Every partition of n attaining best[n], rebuilt from the leads.
+
+        A lead s starts a maximizer of r (parts non-increasing) exactly when
         s * best[r - s] == best[r]; the rest is then a maximizer of r - s
         with parts <= s.  An explicit stack keeps chains such as 1^n off
         the call stack.
         """
         if not 0 <= n < len(self.best):
             raise ValueError(f"n must be in 0..{len(self.best) - 1}, got {n}")
-        best, hits, stack = self.best, [], [(n, n, ())]
+        best, leads, hits, stack = self.best, self.leads, [], [(n, n, ())]
         while stack:
             r, cap, acc = stack.pop()
             if r == 0:
                 hits.append(acc)
-            usable = self.parts[:bisect_right(self.parts, min(r, cap))]
-            stack.extend((r - s, s, acc + (s,)) for s in usable if s * best[r - s] == best[r])
-        return _assemble(n, best[n], hits, self.second[n])
+            stack.extend((r - s, s, acc + (s,)) for s in leads[:bisect_right(leads, min(r, cap))]
+                         if s * best[r - s] == best[r])
+        return _canonical(hits)
+
+    def report(self, n: int) -> MaxProdReport:
+        """Full report at n: maximizers, their coefficient and the runner-up."""
+        maximizers = self.maximizers(n)
+        return MaxProdReport(n, self.best[n], maximizers, len(maximizers) == 1,
+                             _coefficient(maximizers), self.second[n])
 
 
 def max_product_values(E: ExceptionSet, n_max: int) -> tuple[int, ...]:

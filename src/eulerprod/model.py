@@ -163,8 +163,8 @@ def support_view(E: ExceptionSet, horizon: int) -> SupportView:
     """Materialize the allowed parts up to horizon (always starts at 1)."""
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    elements = tuple(n for n in range(1, horizon + 1) if not member(E, n))
-    return SupportView(E, horizon, elements)
+    excluded = set(enumerate_members(E, horizon))
+    return SupportView(E, horizon, tuple(n for n in range(1, horizon + 1) if n not in excluded))
 
 
 def sigma_E1(E: ExceptionSet, n: int) -> int:

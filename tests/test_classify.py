@@ -8,6 +8,7 @@ from eulerprod import (
     EVENTUALLY_CONVEX,
     UNKNOWN,
     ZERO,
+    MaxProdTable,
     a_ratio,
     classify_basic,
     classify_delta_branch,
@@ -200,3 +201,18 @@ class TestPipeline:
     def test_open_configuration_stays_open(self):
         p = classify_pipeline(exceptions_from_spec("2,4,5"), 7)
         assert p.verdict == UNKNOWN
+
+    def test_open_columns_never_build_runner_ups(self, monkeypatch):
+        built = []
+        init = MaxProdTable.__init__
+
+        def recording(self, E, n_max):
+            built.append(self)
+            init(self, E, n_max)
+
+        monkeypatch.setattr(MaxProdTable, "__init__", recording)
+        for espec, n, mechanism in (("none", 8, "delta-branch"), ("2,3,4", 11, "a-criterion"),
+                                    ("2,3", 5, "q-criterion"), ("2,4,5", 7, "none")):
+            assert classify_pipeline(exceptions_from_spec(espec), n).mechanism == mechanism
+        assert len(built) == 4
+        assert all("second" not in vars(table) for table in built)

@@ -200,6 +200,15 @@ class TestVerify:
         assert info.value.code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("suite,expected_code", [("q-tables", 0), ("examples", 1)])
+    def test_timings_leave_stdout_and_exit_code_unchanged(self, capsys, suite, expected_code):
+        plain = run(capsys, "verify", suite)
+        timed = run(capsys, "verify", suite, "--timings")
+        assert plain[0] == timed[0] == expected_code and plain[1] == timed[1]
+        assert plain[2] == ""
+        name, seconds = timed[2].split()
+        assert name == suite and float(seconds) >= 0
+
     def test_grid_flags_rejected_elsewhere(self, capsys):
         code, _, err = run(capsys, "verify", "q-tables", "--ell-max", "10")
         assert code == 2 and "figure1" in err

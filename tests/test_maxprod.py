@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from eulerprod import (
     BATTERY,
+    MaxProdReport,
     MaxProdTable,
     PartitionMultiset,
     SupportHead,
@@ -15,7 +17,45 @@ from eulerprod import (
     max_product_bruteforce,
     max_product_bruteforce_all,
     max_product_values,
+    member,
 )
+from eulerprod.suites import _closed_form_agrees
+
+
+def exception_specs():
+    """Spec strings over the whole grammar: atoms, powers:, multiples:, '+' unions and support:."""
+    atoms = st.lists(st.integers(2, 30), min_size=1, max_size=5).map(lambda a: ",".join(map(str, a)))
+    token = st.one_of(atoms, st.integers(2, 7).map("powers:{}".format),
+                      st.integers(2, 9).map("multiples:{}".format))
+    unions = st.lists(token, min_size=1, max_size=3).map(" + ".join)
+    supports = st.sets(st.integers(2, 40), max_size=6).map(
+        lambda kept: "support:" + ",".join(map(str, [1, *sorted(kept)])))
+    return st.one_of(st.sampled_from(BATTERY), unions, supports)
+
+
+def reference_reports(E, N):
+    """The plain all-parts DP: best and runner-up over every allowed part, maximizers by walking every part."""
+    parts = [s for s in range(1, N + 1) if not member(E, s)]
+    best, second = [1], [0]
+    for r in range(1, N + 1):
+        products = [(s, s * best[r - s]) for s in parts if s <= r]
+        best.append(max(v for _, v in products))
+        second.append(max(v if v < best[r] else s * second[r - s] for s, v in products))
+
+    @lru_cache(maxsize=None)
+    def walk(r, cap):
+        if r == 0:
+            return ((),)
+        return tuple((s, *rest) for s in parts if s <= min(r, cap) and s * best[r - s] == best[r]
+                     for rest in walk(r - s, s))
+
+    reports = []
+    for n in range(N + 1):
+        maximizers = tuple(PartitionMultiset(p) for p in sorted(walk(n, n)))
+        coefficient = sum((m.ordering_coefficient() for m in maximizers), Fraction(0))
+        reports.append(MaxProdReport(n, best[n], maximizers, len(maximizers) == 1,
+                                     coefficient, second[n] or None))
+    return reports
 
 
 class TestPartitionMultiset:
@@ -114,14 +154,42 @@ class TestMaxProdTable:
         with pytest.raises(ValueError):
             MaxProdTable(exceptions_from_spec("none"), -1)
 
+    @pytest.mark.parametrize("N", [4, 5, 30, 206])
+    def test_unrestricted_leads(self, N):
+        assert MaxProdTable(exceptions_from_spec("none"), N).leads == (1, 2, 3, 4)
+
+    @pytest.mark.parametrize("espec,leads", [
+        ("2,4", (1, 3, 5)), ("2,3,4", (1, 5, 6, 7, 8, 9)), ("support:1,3", (1, 3))])
+    def test_leads_after_exceptions(self, espec, leads):
+        assert MaxProdTable(exceptions_from_spec(espec), 60).leads == leads
+
+    def test_runner_ups_only_on_demand(self):
+        table = MaxProdTable(exceptions_from_spec("none"), 30)
+        table.maximizers(30)
+        assert "second" not in vars(table)
+        assert table.report(6).second_product == 8 and "second" in vars(table)
+
+    @settings(max_examples=40, deadline=None)
+    @given(spec=exception_specs(), N=st.integers(0, 150))
+    def test_equals_the_all_parts_reference(self, spec, N):
+        E = exceptions_from_spec(spec)
+        table, reference = MaxProdTable(E, N), reference_reports(E, N)
+        assert table.best == tuple(r.product for r in reference)
+        assert set(table.leads) <= set(table.parts)
+        for n in range(N + 1):
+            assert table.maximizers(n) == reference[n].maximizers
+            assert table.report(n) == reference[n]
+
+    @settings(max_examples=100, deadline=None)
+    @given(spec=exception_specs())
+    def test_spec_text_round_trips(self, spec):
+        E = exceptions_from_spec(spec)
+        assert exceptions_from_spec(E.spec_text) == E
+
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
     def test_prefix_agrees_with_bruteforce(self, data):
-        spec = data.draw(st.one_of(
-            st.sampled_from(BATTERY),
-            st.sets(st.integers(2, 40), max_size=6).map(
-                lambda kept: "support:" + ",".join(map(str, [1, *sorted(kept)])))))
-        E = exceptions_from_spec(spec)
+        E = exceptions_from_spec(data.draw(exception_specs()))
         N = data.draw(st.integers(0, 40))
         n = data.draw(st.integers(0, min(N, 28)))
         table = MaxProdTable(E, N)
@@ -131,11 +199,7 @@ class TestMaxProdTable:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_one_table_and_one_walk_serve_every_target(self, data):
-        spec = data.draw(st.one_of(
-            st.sampled_from(BATTERY),
-            st.sets(st.integers(2, 28), max_size=6).map(
-                lambda kept: "support:" + ",".join(map(str, [1, *sorted(kept)])))))
-        E = exceptions_from_spec(spec)
+        E = exceptions_from_spec(data.draw(exception_specs()))
         N = data.draw(st.integers(0, 28))
         table, walk = MaxProdTable(E, N), max_product_bruteforce_all(E, N)
         assert len(walk) == N + 1
@@ -237,3 +301,18 @@ class TestClosedForms:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             closed_form_max(SupportHead((1, 2)), 0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(kept=st.sets(st.integers(2, 12), max_size=5), tail=st.none() | st.integers(1, 8))
+    def test_any_closed_form_agrees_with_the_table(self, kept, tail):
+        elements = (1, *sorted(kept))
+        if tail is None:
+            head, spec = SupportHead(elements), "support:" + ",".join(map(str, elements))
+        else:
+            head = SupportHead(elements, elements[-1] + tail)
+            gaps = [m for m in range(2, head.tail_from) if m not in elements]
+            spec = ",".join(map(str, gaps)) or "none"
+        table = MaxProdTable(exceptions_from_spec(spec), 70)
+        for n in range(1, 71):
+            cf = closed_form_max(head, n)
+            assert cf is None or _closed_form_agrees(cf, table.report(n)), (spec, n)
