@@ -50,7 +50,6 @@ from .model import (
     MultiplesOf,
     PowersOf,
     SupportComplement,
-    SupportView,
     WeightFamily,
     divisors,
     enumerate_members,

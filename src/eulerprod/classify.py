@@ -37,7 +37,7 @@ MECH_NONE = "none"
 GREATER_THAN_1 = "greater-than-1"
 EQUAL_1 = "equal-1"
 LESS_THAN_1 = "less-than-1"
-# default growth_guard: the refined criterion reads the table up to n + 1 + this
+# the refined criterion reads the table up to n + 1 + this
 _GROWTH_GUARD = 5
 
 
@@ -111,26 +111,25 @@ def _basic(table: MaxProdTable, n: int) -> Prediction:
     return Prediction(UNKNOWN, MECH_NONE, {"q": q, "note": "quotient ties at 1; try the refined criterion"})
 
 
-def _a_ratio(table: MaxProdTable, n: int, growth_guard: int) -> ARatio:
+def _a_ratio(table: MaxProdTable, n: int) -> ARatio:
     below, at, above = (table.maximizers(m) for m in (n - 1, n, n + 1))
-    lo = max(2, n - 1 - growth_guard)
-    strict = all(table.best[m] > table.best[m - 1] for m in range(lo, n + 2 + growth_guard))
+    lo = max(2, n - 1 - _GROWTH_GUARD)
+    strict = all(table.best[m] > table.best[m - 1] for m in range(lo, n + 2 + _GROWTH_GUARD))
     unique = len(below) == 1, len(at) == 1, len(above) == 1
     balanced = all(unique) and sorted(at[0].parts * 2) == sorted(below[0].parts + above[0].parts)
     record = HypothesisRecord(strict, *unique, balanced)
     return ARatio(n, _coefficient(at) ** 2 / (_coefficient(below) * _coefficient(above)), record)
 
 
-def a_ratio(E: ExceptionSet, n: int, growth_guard: int = _GROWTH_GUARD) -> ARatio:
+def a_ratio(E: ExceptionSet, n: int) -> ARatio:
     """Coefficient ratio A(n)^2 / (A(n-1) A(n+1)) with hypothesis record."""
     if n < 2:
         raise ValueError(f"the ratio needs n >= 2, got {n}")
-    return _a_ratio(MaxProdTable(E, n + 1 + max(growth_guard, 0)), n, growth_guard)
+    return _a_ratio(MaxProdTable(E, n + 1 + _GROWTH_GUARD), n)
 
 
 def classify_refined(E: ExceptionSet, n: int, weights: WeightFamily | None = None,
-                     probe_ells: Iterable[int] | None = None,
-                     growth_guard: int = _GROWTH_GUARD) -> Prediction:
+                     probe_ells: Iterable[int] | None = None) -> Prediction:
     """Coefficient-ratio criterion for the quotient tie Q(n) = 1.
 
     All hypotheses holding, the ratio decides the verdict.  When only
@@ -140,17 +139,17 @@ def classify_refined(E: ExceptionSet, n: int, weights: WeightFamily | None = Non
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return _refined(E, MaxProdTable(E, n + 1 + max(growth_guard, 0)), n, weights, probe_ells, growth_guard)
+    return _refined(E, MaxProdTable(E, n + 1 + _GROWTH_GUARD), n, weights, probe_ells)
 
 
 def _refined(E: ExceptionSet, table: MaxProdTable, n: int, weights: WeightFamily | None,
-             probe_ells: Iterable[int] | None, growth_guard: int) -> Prediction:
+             probe_ells: Iterable[int] | None) -> Prediction:
     qv = _quotient(table.best, n)
     if qv.q != 1:
         raise ValueError(f"refined criterion needs quotient 1 at n={n}, got {qv.q}")
     if n < 2:
         return Prediction(UNKNOWN, MECH_NONE, {"note": "window n-1, n, n+1 leaves the table"})
-    ar = _a_ratio(table, n, growth_guard)
+    ar = _a_ratio(table, n)
     record = ar.hypotheses
     if record.all_hold():
         detail = {"ratio": ar.ratio, "hypotheses": record}
@@ -330,7 +329,7 @@ def _after_table(E: ExceptionSet, n: int, table: Prediction, maxprod: MaxProdTab
     basic = _basic(maxprod, n)
     if basic.verdict != UNKNOWN or n < 2:
         return table if table.verdict == CONDITIONAL else basic
-    refined = _refined(E, maxprod, n, weights, probe_ells, _GROWTH_GUARD)
+    refined = _refined(E, maxprod, n, weights, probe_ells)
     if refined.verdict == UNKNOWN and table.verdict == CONDITIONAL:
         return table
     return refined

@@ -17,9 +17,10 @@ import os
 import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .classify import (
     EVENTUALLY_CONCAVE,
@@ -110,6 +111,27 @@ def _worker_count(jobs: int, ell_max: int) -> int:
     return min(jobs, ell_max, cores)
 
 
+def _rows(tasks: Iterator[tuple[ExceptionSet, WeightFamily, int, int]],
+          workers: int) -> Iterator[tuple[int, tuple[int, ...], str, float]]:
+    """_sign_row over tasks, in order: in this process, or on a pool of workers.
+
+    The pool keeps at most 2 rows per worker in flight, refilled in ell
+    order.  However the stream ends (exhausted, closed early, or a row
+    raising), the pool drops the rows not yet started and joins its workers.
+    """
+    if workers == 1:
+        yield from map(_sign_row, tasks)
+        return
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        pending = deque(pool.submit(_sign_row, task) for task in islice(tasks, 2 * workers))
+        while pending:
+            yield pending.popleft().result()
+            pending.extend(pool.submit(_sign_row, task) for task in islice(tasks, 1))
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def sweep(E: ExceptionSet, w: WeightFamily, n_max: int, ell_max: int,
           jobs: int = 1, budget_seconds: float | None = None,
           on_row: Callable[[int, str, float], None] | None = None) -> SignGrid:
@@ -118,7 +140,8 @@ def sweep(E: ExceptionSet, w: WeightFamily, n_max: int, ell_max: int,
     Each row is certified by bounded_signs when the row is large enough to
     gain from it, and computed by the exact recurrence otherwise or when a
     cell stays undecided.  on_row, if given, is called in ell order with
-    (ell, "bounded" or "exact", seconds the row took).
+    (ell, "bounded" or "exact", seconds the row took).  Once the budget has
+    passed, the sweep stops after the current row with BudgetExceeded.
     """
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
@@ -129,36 +152,17 @@ def sweep(E: ExceptionSet, w: WeightFamily, n_max: int, ell_max: int,
     workers = _worker_count(jobs, ell_max)
     start = time.monotonic()
     rows: list[tuple[int, ...]] = []
-
-    def over_budget() -> bool:
-        return budget_seconds is not None and time.monotonic() - start > budget_seconds
-
-    def bail() -> BudgetExceeded:
-        partial = SignGrid(E, w, n_max, (1, len(rows)), tuple(rows))
-        return BudgetExceeded(
-            f"budget of {budget_seconds}s exhausted after {len(rows)} of {ell_max} rows", partial)
-
-    def keep(ell: int, row: tuple[int, ...], path: str, seconds: float) -> None:
-        rows.append(row)
-        if on_row is not None:
-            on_row(ell, path, seconds)
-
     tasks = ((E, w, ell, n_max) for ell in range(1, ell_max + 1))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            # at most 2 rows per worker in flight, refilled in ell order
-            pending = deque(pool.submit(_sign_row, task) for task in islice(tasks, 2 * workers))
-            while pending:
-                keep(*pending.popleft().result())
-                if len(rows) < ell_max and over_budget():
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    raise bail()
-                pending.extend(pool.submit(_sign_row, task) for task in islice(tasks, 1))
-    else:
-        for task in tasks:
-            if rows and over_budget():
-                raise bail()
-            keep(*_sign_row(task))
+    with closing(_rows(tasks, workers)) as stream:
+        for ell, row, path, seconds in stream:
+            rows.append(row)
+            if on_row is not None:
+                on_row(ell, path, seconds)
+            if (budget_seconds is not None and len(rows) < ell_max
+                    and time.monotonic() - start > budget_seconds):
+                raise BudgetExceeded(
+                    f"budget of {budget_seconds}s exhausted after {len(rows)} of {ell_max} rows",
+                    SignGrid(E, w, n_max, (1, len(rows)), tuple(rows)))
     return SignGrid(E, w, n_max, (1, ell_max), tuple(rows))
 
 

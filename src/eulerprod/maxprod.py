@@ -116,7 +116,7 @@ class MaxProdTable:
     def __init__(self, E: ExceptionSet, n_max: int) -> None:
         if n_max < 0:
             raise ValueError(f"n_max must be >= 0, got {n_max}")
-        parts = support_view(E, n_max).elements if n_max >= 1 else ()
+        parts = support_view(E, n_max) if n_max >= 1 else ()
         allowed = set(parts)
         best, undominated, leads = [1], [], []
         for r in range(1, n_max + 1):
@@ -184,8 +184,7 @@ def max_product(E: ExceptionSet, n: int) -> MaxProdReport:
     return MaxProdTable(E, n).report(n)
 
 
-def max_product_bruteforce_all(E: ExceptionSet, n_max: int,
-                               bound: int = BRUTE_FORCE_BOUND) -> tuple[MaxProdReport, ...]:
+def max_product_bruteforce_all(E: ExceptionSet, n_max: int) -> tuple[MaxProdReport, ...]:
     """Reports for every target 0..n_max by one exhaustive walk; refuses large targets.
 
     Every non-increasing sequence of allowed parts with sum at most n_max is
@@ -194,9 +193,9 @@ def max_product_bruteforce_all(E: ExceptionSet, n_max: int,
     """
     if n_max < 0:
         raise ValueError(f"n must be >= 0, got {n_max}")
-    if n_max > bound:
-        raise ValueError(f"brute force is capped at n <= {bound}, got {n_max}")
-    parts = support_view(E, n_max).elements if n_max >= 1 else ()
+    if n_max > BRUTE_FORCE_BOUND:
+        raise ValueError(f"brute force is capped at n <= {BRUTE_FORCE_BOUND}, got {n_max}")
+    parts = support_view(E, n_max) if n_max >= 1 else ()
     # per target: best product, best product below it (0 if none), partitions attaining best
     best = [0] * (n_max + 1)
     second = [0] * (n_max + 1)
@@ -216,10 +215,9 @@ def max_product_bruteforce_all(E: ExceptionSet, n_max: int,
     return tuple(_assemble(n, best[n], hits[n], second[n] or None) for n in range(n_max + 1))
 
 
-def max_product_bruteforce(E: ExceptionSet, n: int,
-                           bound: int = BRUTE_FORCE_BOUND) -> MaxProdReport:
+def max_product_bruteforce(E: ExceptionSet, n: int) -> MaxProdReport:
     """Same report as max_product by exhaustive enumeration; refuses large targets."""
-    return max_product_bruteforce_all(E, n, bound)[n]
+    return max_product_bruteforce_all(E, n)[n]
 
 
 @dataclass(frozen=True)
@@ -251,13 +249,9 @@ class SupportHead:
         return min(candidates) if candidates else None
 
 
-def _single(n: int, parts: tuple[int, ...]) -> MaxProdReport:
-    return _assemble(n, PartitionMultiset.of(parts).product, [parts], None)
-
-
 def _listed(n: int, parts_list: list[tuple[int, ...]]) -> MaxProdReport:
-    product = PartitionMultiset.of(parts_list[0]).product
-    return _assemble(n, product, parts_list, None)
+    """Closed-form report at n whose maximizers are exactly parts_list."""
+    return _assemble(n, PartitionMultiset.of(parts_list[0]).product, parts_list, None)
 
 
 def _closed_form_smallest_part_2(head: SupportHead, n: int) -> MaxProdReport | None:
@@ -266,20 +260,20 @@ def _closed_form_smallest_part_2(head: SupportHead, n: int) -> MaxProdReport | N
     if a3 == 3:
         k, r = divmod(n, 3)
         if n == 1:
-            return _single(n, (1,))
+            return _listed(n, [(1,)])
         if r == 0:
-            return _single(n, (3,) * k)
+            return _listed(n, [(3,) * k])
         if r == 2:
-            return _single(n, (3,) * k + (2,))
+            return _listed(n, [(3,) * k + (2,)])
         # n >= 4 and n == 1 mod 3: a 4 in S ties (4, 3^k) with (3^k, 2, 2)
         blocks = (3,) * ((n - 4) // 3)
         if head.contains(4):
             return _listed(n, [blocks + (2, 2), (4,) + blocks])
-        return _single(n, blocks + (2, 2))
+        return _listed(n, [blocks + (2, 2)])
     if a3 == 4:
         five = head.contains(5)
         if five and n <= 3:
-            return _single(n, (1,) if n == 1 else (2,) * (n // 2) + (1,) * (n % 2))
+            return _listed(n, [(1,) if n == 1 else (2,) * (n // 2) + (1,) * (n % 2)])
         r = n % 4
         if r in (0, 2):
             # swap (2,2) <-> (4) freely: one chain of maximizers
@@ -294,14 +288,14 @@ def _closed_form_smallest_part_2(head: SupportHead, n: int) -> MaxProdReport | N
         return _listed(n, chain)
     if a3 == 5:
         if n == 1:
-            return _single(n, (1,))
+            return _listed(n, [(1,)])
         if n == 3:
-            return _single(n, (2, 1))
+            return _listed(n, [(2, 1)])
         if n % 2 == 0:
-            return _single(n, (2,) * (n // 2))
-        return _single(n, (5,) + (2,) * ((n - 5) // 2))
+            return _listed(n, [(2,) * (n // 2)])
+        return _listed(n, [(5,) + (2,) * ((n - 5) // 2)])
     # nothing between 2 and 6 helps: twos and at most one 1
-    return _single(n, (2,) * (n // 2) + (1,) * (n % 2))
+    return _listed(n, [(2,) * (n // 2) + (1,) * (n % 2)])
 
 
 def closed_form_max(head: SupportHead, n: int) -> MaxProdReport | None:
@@ -322,8 +316,8 @@ def closed_form_max(head: SupportHead, n: int) -> MaxProdReport | None:
     a3 = head.next_after(a2)
     if a3 is None or a3 >= 2 * a2:
         count, rem = divmod(n, a2)
-        return _single(n, (a2,) * count + (1,) * rem)
+        return _listed(n, [(a2,) * count + (1,) * rem])
     if a3 == a2 + 1 and n >= a2 * (a2 - 1) * (3 * a2 - 1) // 2:
         i = n % a2
-        return _single(n, (a3,) * i + (a2,) * ((n - i * a3) // a2))
+        return _listed(n, [(a3,) * i + (a2,) * ((n - i * a3) // a2)])
     return None

@@ -150,21 +150,12 @@ def enumerate_members(E: ExceptionSet, limit: int) -> list[int]:
     return sorted(found)
 
 
-@dataclass(frozen=True)
-class SupportView:
-    """Concrete slice S intersect [1, horizon] of an allowed-part set."""
-
-    source: ExceptionSet
-    horizon: int
-    elements: tuple[int, ...]
-
-
-def support_view(E: ExceptionSet, horizon: int) -> SupportView:
-    """Materialize the allowed parts up to horizon (always starts at 1)."""
+def support_view(E: ExceptionSet, horizon: int) -> tuple[int, ...]:
+    """The allowed parts in [1, horizon], ascending (always starts at 1)."""
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     excluded = set(enumerate_members(E, horizon))
-    return SupportView(E, horizon, tuple(n for n in range(1, horizon + 1) if n not in excluded))
+    return tuple(n for n in range(1, horizon + 1) if n not in excluded)
 
 
 def sigma_E1(E: ExceptionSet, n: int) -> int:
@@ -325,7 +316,10 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
 
 def _custom_weights(path: str) -> WeightFamily:
     with open(path, encoding="utf-8") as handle:
-        raw = json.load(handle, object_pairs_hook=_unique_keys)
+        try:
+            raw = json.load(handle, object_pairs_hook=_unique_keys)
+        except RecursionError:
+            raise ValueError(f"custom weight file {path!r} nests too deeply") from None
     return _from_schema(f"custom:{path}", raw, f"custom weight file {path!r}")
 
 

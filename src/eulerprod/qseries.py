@@ -228,7 +228,7 @@ def coeffs_by_product(E: ExceptionSet, w: WeightFamily, ell: int, N: int) -> Par
     coeffs = [0] * (N + 1)
     coeffs[0] = 1
     if N >= 1:
-        for m in support_view(E, N).elements:
+        for m in support_view(E, N):
             f = w.eval(ell, m)
             series = [1]
             c = 1

@@ -71,7 +71,7 @@ def _partition_counts(E: ExceptionSet, N: int) -> list[int]:
     """Partition counts with parts allowed by E, one part size at a time."""
     ways = [0] * (N + 1)
     ways[0] = 1
-    for s in support_view(E, N).elements:
+    for s in support_view(E, N):
         for v in range(s, N + 1):
             ways[v] += ways[v - s]
     return ways

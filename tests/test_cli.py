@@ -227,6 +227,7 @@ def test_bad_exception_spec(capsys):
     pytest.param('{"base": 0, "phi": 0, "psi": 0, "B": 0, "overrides": {"1": "ell"}}', id="override-n1"),
     pytest.param('{"base": 0, "phi": 0, "psi": 0, "B": 0, "overrides": {"0": "ell"}}', id="override-n0"),
     pytest.param('{"base": 0, "phi": 0, "psi": 0, "B": 0, "extra": 1}', id="unknown-key"),
+    pytest.param("[" * 100000, id="deep-nesting"),
 ])
 def test_malformed_weight_file(tmp_path, capsys, text):
     path = tmp_path / "weights.json"

@@ -1,8 +1,10 @@
 import json
+import multiprocessing
 import os
 import pickle
 import time
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 
@@ -22,6 +24,7 @@ from eulerprod import (
     sweep,
     weight_from_spec,
 )
+from eulerprod import harness
 from eulerprod.harness import _worker_count
 from eulerprod.qseries import prefers_bounded
 
@@ -55,6 +58,7 @@ class TestSweep:
         serial = sweep(E24, POWER, 12, 6)
         parallel = sweep(E24, POWER, 12, 6, jobs=2)
         assert serial.signs == parallel.signs
+        assert multiprocessing.active_children() == []
 
     def test_budget_raises_with_partial(self):
         with pytest.raises(BudgetExceeded) as info:
@@ -82,6 +86,32 @@ class TestSweep:
             sweep(exceptions_from_spec("none"), POWER, 2, 200000, jobs=2, budget_seconds=0)
         assert time.perf_counter() - start < 1
         assert len(info.value.partial.signs) == 1
+        # the stop joins the workers instead of leaving them to run
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_budget_stop_keeps_a_prefix(self, monkeypatch, jobs):
+        full = sweep(E24, POWER, 30, 12, jobs=jobs)
+        for stop in (1, 5, 11):
+            seen = []
+            # the clock passes the deadline once on_row has seen the stop-th row
+            clock = SimpleNamespace(monotonic=lambda: 0.0 if len(seen) < stop else 2.0,
+                                    perf_counter=time.perf_counter)
+            with monkeypatch.context() as patch, pytest.raises(BudgetExceeded) as info:
+                patch.setattr(harness, "time", clock)
+                sweep(E24, POWER, 30, 12, jobs=jobs, budget_seconds=1,
+                      on_row=lambda ell, path, seconds: seen.append(ell))
+            partial = info.value.partial
+            assert partial.ell_range == (1, stop)
+            assert partial.signs == full.signs[:stop]
+            assert seen == list(range(1, stop + 1))
+
+    def test_pooled_row_error_joins_its_workers(self, tmp_path):
+        path = tmp_path / "heavy.json"
+        path.write_text(json.dumps({"base": 10**6, "phi": 0, "psi": 0, "B": 0}))
+        with pytest.raises(ValueError, match="ceiling"):
+            sweep(exceptions_from_spec("none"), weight_from_spec(f"custom:{path}"), 4, 6, jobs=2)
+        assert multiprocessing.active_children() == []
 
     def test_validation(self):
         with pytest.raises(ValueError):
