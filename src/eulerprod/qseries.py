@@ -12,7 +12,7 @@ is integer arithmetic, no floats anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import accumulate, compress, islice, repeat
 from math import factorial
 from operator import add, ge
 from typing import Iterator
@@ -21,7 +21,6 @@ from .model import (
     ExceptionSet,
     WeightFamily,
     largest_S_divisor,
-    member,
     sigma_E1,
     support_view,
 )
@@ -81,11 +80,10 @@ def g_table(E: ExceptionSet, w: WeightFamily, ell: int, N: int) -> GTable:
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     values = [0] * (N + 1)
-    for d in range(1, N + 1):
-        if not member(E, d):
-            contribution = d * w.eval(ell, d)
-            for m in range(d, N + 1, d):
-                values[m] += contribution
+    for d in support_view(E, N):
+        contribution = d * w.eval(ell, d)
+        for m in range(d, N + 1, d):
+            values[m] += contribution
     return GTable(E, w, ell, tuple(values))
 
 
@@ -124,7 +122,7 @@ def prefers_bounded(E: ExceptionSet, w: WeightFamily, ell: int, n_max: int) -> b
     bounded ones stay MANTISSA_BITS wide.
     """
     N = n_max + 1
-    bits = max((w.exponent(ell, m) * m.bit_length() for m in range(2, N + 1) if not member(E, m)), default=0)
+    bits = max((w.exponent(ell, m) * m.bit_length() for m in support_view(E, N)[1:]), default=0)
     return N * bits >= BOUNDED_MIN_SIZE
 
 
@@ -162,16 +160,33 @@ def _bounded_coeffs(E: ExceptionSet, w: WeightFamily, ell: int, N: int) -> Itera
     positive, so each product, alignment shift and division by n rounds
     down for lo and up for hi.  A value stays exact (lo == hi, e = 0)
     while it and every g(k) and p(j) it is computed from fit the width.
+
+    Term k = g(k) p(n-k) sits at exponent g_e(k) + p_e(n-k), and only the
+    terms within 2 * MANTISSA_BITS of the top one are summed.  Only a
+    prefix k <= L is formed.  With g_tail[L] the largest g_e(k) over
+    k > L and p_top[j] the largest p_e over 0..j, every tail term has
+    exponent at most g_tail[L] + p_top[n-L-1], since n - k <= n - L - 1.
+    While that bound reaches the prefix's window, L doubles (up to n);
+    once it falls below, no tail term is the top one or inside the
+    window, so the top, the kept terms and (lo, hi, e) are exactly those
+    of a scan over every k.  L carries over to the next n.
     """
     g_lo, g_hi, g_e = zip(*map(_interval, g_table(E, w, ell, N).values[1:]))
     g_m = list(zip(g_lo, g_hi))
-    p_m, p_e = [(1, 1)], [0]
+    # g_e[k-1] is the exponent of g(k), so g_tail[L] = max(g_e[L:]) is the largest one over k > L
+    g_tail = list(accumulate(reversed(g_e), max))[::-1]
+    p_m, p_e, p_top = [(1, 1)], [0], [0]
     yield 1, 1, 0
+    L = 1
     for n in range(1, N + 1):
-        # term k is g(k) p(n-k) at exponent exps[k-1]; aligning all terms to the largest
-        # exponent makes every shift go right
-        exps = list(map(add, g_e, reversed(p_e)))
-        top = max(exps)
+        while True:
+            # term k is g(k) p(n-k) at exponent exps[k-1]; aligning all terms to the largest
+            # exponent makes every shift go right
+            exps = list(map(add, islice(g_e, L), reversed(p_e)))
+            top = max(exps)
+            if L >= n or g_tail[L] + p_top[n - L - 1] < top - 2 * MANTISSA_BITS:
+                break
+            L = min(2 * L, n)
         # mantissas are at most 2^MANTISSA_BITS, so a term shifted further than twice that
         # adds 0 to lo and exactly 1 to hi, which the n ones below already count
         near = map(ge, exps, repeat(top - 2 * MANTISSA_BITS))
@@ -190,6 +205,7 @@ def _bounded_coeffs(E: ExceptionSet, w: WeightFamily, ell: int, N: int) -> Itera
             lo, hi = lo << -s, hi << -s
         p_m.append((lo, hi))
         p_e.append(top + s)
+        p_top.append(max(p_top[-1], top + s))
         yield lo, hi, top + s
 
 

@@ -1,8 +1,9 @@
 import json
 from math import comb
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eulerprod import (
@@ -18,7 +19,10 @@ from eulerprod import (
     sweep,
     weight_from_spec,
 )
-from eulerprod.qseries import MANTISSA_BITS, _bounded_coeffs, _interval_sign, prefers_bounded
+from eulerprod import qseries
+from eulerprod.qseries import MANTISSA_BITS, GTable, _bounded_coeffs, _interval, _interval_sign, prefers_bounded
+from eulerprod.suites import _partition_counts
+from test_maxprod import exception_specs
 
 POWER = weight_from_spec("power")
 PRESETS = ("power", "example1", "example2")
@@ -41,6 +45,20 @@ def test_product_path_matches_recurrence():
             a = coeffs_by_recurrence(E, POWER, ell, 30)
             b = coeffs_by_product(E, POWER, ell, 30)
             assert a.coeffs == b.coeffs, (espec, ell)
+
+
+@settings(max_examples=40, deadline=None)
+@given(exception_specs(), st.sampled_from(PRESETS), st.integers(1, 6), st.integers(0, 30))
+def test_product_path_matches_recurrence_over_the_grammar(espec, wspec, ell, N):
+    E, w = exceptions_from_spec(espec), weight_from_spec(wspec)
+    assert coeffs_by_recurrence(E, w, ell, N).coeffs == coeffs_by_product(E, w, ell, N).coeffs
+
+
+@settings(max_examples=40, deadline=None)
+@given(exception_specs(), st.integers(1, 40))
+def test_unit_weights_count_partitions_over_the_grammar(espec, N):
+    E = exceptions_from_spec(espec)
+    assert list(coeffs_by_recurrence(E, POWER, 1, N).coeffs) == _partition_counts(E, N)
 
 
 def test_product_path_trivial_horizon():
@@ -235,3 +253,76 @@ class TestBoundedSigns:
     def test_rejects_empty_row(self):
         with pytest.raises(ValueError):
             bounded_signs(exceptions_from_spec("none"), POWER, 1, 0)
+
+
+def full_scan_coeffs(g, N):
+    """The interval recurrence summing over every term k = 1..n, with no tail cut: (lo, hi, e) for p(0..N)."""
+    g = [_interval(x) for x in g]  # g[k] for k = 1..N; slot 0 is unused
+    p = [(1, 1, 0)]
+    for n in range(1, N + 1):
+        terms = [(g[k], p[n - k]) for k in range(1, n + 1)]
+        top = max(a[2] + b[2] for a, b in terms)
+        lo = hi = 0
+        for (a_lo, a_hi, a_e), (b_lo, b_hi, b_e) in terms:
+            s = top - a_e - b_e
+            if s <= 2 * MANTISSA_BITS:
+                lo += a_lo * b_lo >> s
+                hi += a_hi * b_hi - 1 >> s
+        lo //= n
+        hi = -(-(hi + n) // n)
+        s = max(hi.bit_length() - MANTISSA_BITS, -top)
+        if s > 0:
+            lo, hi = lo >> s, ((hi - 1) >> s) + 1
+        elif s < 0:
+            lo, hi = lo << -s, hi << -s
+        p.append((lo, hi, top + s))
+    return p
+
+
+def assert_cut_matches_full_scan(E, w, ell, N):
+    expected = full_scan_coeffs(g_table(E, w, ell, N).values, N)
+    assert list(_bounded_coeffs(E, w, ell, N)) == expected, (E.spec_text, w.id, ell, N)
+
+
+class TestTailCut:
+    """_bounded_coeffs forms only a certified prefix of the terms; its intervals equal a scan over every term."""
+
+    @pytest.mark.parametrize("espec", BATTERY)
+    def test_battery_rows(self, espec):
+        E = exceptions_from_spec(espec)
+        for wspec in PRESETS:
+            w = weight_from_spec(wspec)
+            for ell in (1, 13, 60, 120):
+                for N in (41, 120):
+                    assert_cut_matches_full_scan(E, w, ell, N)
+
+    @pytest.mark.parametrize("espec,wspec,ell", [
+        ("3", "example2", 13), ("3", "example2", 50), ("3", "example2", 100),
+        ("none", "power", 30), ("none", "power", 100),
+    ])
+    def test_wide_rows(self, espec, wspec, ell):
+        assert_cut_matches_full_scan(exceptions_from_spec(espec), weight_from_spec(wspec), ell, 201)
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.sampled_from(BATTERY), st.sampled_from(PRESETS), st.integers(1, 150), st.integers(1, 201))
+    def test_random_rows(self, espec, wspec, ell, N):
+        assert_cut_matches_full_scan(exceptions_from_spec(espec), weight_from_spec(wspec), ell, N)
+
+    def test_custom_weight_row(self, tmp_path):
+        # g(12) and g(15) dwarf their neighbours, so the tail maximum must include k = L + 1
+        path = tmp_path / "weights.json"
+        path.write_text(json.dumps({"base": -1, "phi": 0, "psi": 0, "B": 0,
+                                    "overrides": {"2": "1", "12": "133", "15": "203"}}))
+        assert_cut_matches_full_scan(exceptions_from_spec("2,4"), weight_from_spec(f"custom:{path}"), 1, 19)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from((0, 1)), st.integers(0, 1 << 400)), min_size=1, max_size=40))
+    # the tail maximum over k > L includes g(L + 1)
+    @example(g=[1, 2 ** 369 + 12345, 2 ** 380 + 12345, 0])
+    # a tail term exactly 2 * MANTISSA_BITS below the top is inside the window
+    @example(g=[0, 1, 1, 2 ** 146, 2 ** 133, 1, 1, 2 ** 111 + 12345, 1, 1, 1])
+    def test_any_nonnegative_g(self, g):
+        # the cut is a statement about the recurrence for any non-negative g(1..N), not only divisor sums
+        N = len(g)
+        with mock.patch.object(qseries, "g_table", lambda E, w, ell, N: GTable(E, w, ell, (0, *g))):
+            assert list(_bounded_coeffs(None, None, 1, N)) == full_scan_coeffs([0, *g], N)
