@@ -1,11 +1,12 @@
 """Sign grids over (n, ell), stabilization thresholds, file emission.
 
 A sweep computes sign(p(n)^2 - p(n-1) p(n+1)) for every cell of an
-(n, ell) rectangle, one row per ell: certified from fixed-width
-interval bounds when the row is large, from the exact coefficient
-table otherwise or when an interval cannot decide a cell.  Stabilization
-reduces each column to its terminal sign and the least ell from which
-that sign persists, and compares against classifier predictions.
+(n, ell) rectangle, one row per ell: certified from interval bounds,
+narrow first and wider while a cell is undecided, when the row is
+large, and from the exact coefficient table otherwise or when no
+width decides every cell.  Stabilization reduces each column to its
+terminal sign and the least ell from which that sign persists, and
+compares against classifier predictions.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import math
 import os
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
 from itertools import islice
@@ -87,17 +87,16 @@ class BudgetExceeded(RuntimeError):
         self.partial = partial
 
 
-def _sign_row(task: tuple[ExceptionSet, WeightFamily, int, int]) -> tuple[int, tuple[int, ...], str, float]:
-    """One grid row: (ell, signs, the path that decided them, seconds taken)."""
+def _sign_row(task: tuple[ExceptionSet, WeightFamily, int, int]) -> tuple[int, tuple[int, ...], int | None, float]:
+    """One grid row: (ell, signs, the interval width that decided them or None for exact, seconds taken)."""
     E, w, ell, n_max = task
     start = time.perf_counter()
-    row = bounded_signs(E, w, ell, n_max) if prefers_bounded(E, w, ell, n_max) else None
-    path = "bounded"
-    if row is None:
-        path = "exact"
+    decided = bounded_signs(E, w, ell, n_max) if prefers_bounded(E, w, ell, n_max) else None
+    if decided is None:
         table = coeffs_by_recurrence(E, w, ell, n_max + 1)
-        row = tuple(delta(table, n).sign for n in range(1, n_max + 1))
-    return ell, row, path, time.perf_counter() - start
+        decided = None, tuple(delta(table, n).sign for n in range(1, n_max + 1))
+    bits, row = decided
+    return ell, row, bits, time.perf_counter() - start
 
 
 def _worker_count(jobs: int, ell_max: int) -> int:
@@ -112,7 +111,7 @@ def _worker_count(jobs: int, ell_max: int) -> int:
 
 
 def _rows(tasks: Iterator[tuple[ExceptionSet, WeightFamily, int, int]],
-          workers: int) -> Iterator[tuple[int, tuple[int, ...], str, float]]:
+          workers: int) -> Iterator[tuple[int, tuple[int, ...], int | None, float]]:
     """_sign_row over tasks, in order: in this process, or on a pool of workers.
 
     The pool keeps at most 2 rows per worker in flight, refilled in ell
@@ -122,6 +121,9 @@ def _rows(tasks: Iterator[tuple[ExceptionSet, WeightFamily, int, int]],
     if workers == 1:
         yield from map(_sign_row, tasks)
         return
+    # imported here so that a serial sweep never loads multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     pool = ProcessPoolExecutor(max_workers=workers)
     try:
         pending = deque(pool.submit(_sign_row, task) for task in islice(tasks, 2 * workers))
@@ -134,14 +136,15 @@ def _rows(tasks: Iterator[tuple[ExceptionSet, WeightFamily, int, int]],
 
 def sweep(E: ExceptionSet, w: WeightFamily, n_max: int, ell_max: int,
           jobs: int = 1, budget_seconds: float | None = None,
-          on_row: Callable[[int, str, float], None] | None = None) -> SignGrid:
+          on_row: Callable[[int, int | None, float], None] | None = None) -> SignGrid:
     """Exact sign grid for n in 1..n_max, ell in 1..ell_max.
 
     Each row is certified by bounded_signs when the row is large enough to
     gain from it, and computed by the exact recurrence otherwise or when a
     cell stays undecided.  on_row, if given, is called in ell order with
-    (ell, "bounded" or "exact", seconds the row took).  Once the budget has
-    passed, the sweep stops after the current row with BudgetExceeded.
+    (ell, the interval width that decided the row or None for the exact
+    recurrence, seconds the row took).  Once the budget has passed, the
+    sweep stops after the current row with BudgetExceeded.
     """
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
@@ -154,10 +157,10 @@ def sweep(E: ExceptionSet, w: WeightFamily, n_max: int, ell_max: int,
     rows: list[tuple[int, ...]] = []
     tasks = ((E, w, ell, n_max) for ell in range(1, ell_max + 1))
     with closing(_rows(tasks, workers)) as stream:
-        for ell, row, path, seconds in stream:
+        for ell, row, bits, seconds in stream:
             rows.append(row)
             if on_row is not None:
-                on_row(ell, path, seconds)
+                on_row(ell, bits, seconds)
             if (budget_seconds is not None and len(rows) < ell_max
                     and time.monotonic() - start > budget_seconds):
                 raise BudgetExceeded(

@@ -5,7 +5,8 @@ prod_{m in S} (1 - q^m)^(-f_ell(m)): a divisor-sum recurrence and a
 truncated product of negative-binomial series.  They must agree
 exactly; the recurrence is the workhorse, the product the oracle.
 For sign grids, bounded_signs runs the same recurrence on fixed-width
-integer intervals and certifies each sign or gives up.  All arithmetic
+integer intervals, narrow first and wider while a cell stays undecided,
+and certifies each sign or gives up.  All arithmetic
 is integer arithmetic, no floats anywhere.
 """
 
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from itertools import accumulate, compress, islice, repeat
 from math import factorial
 from operator import add, ge
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .model import (
     ExceptionSet,
@@ -107,11 +108,18 @@ def coeffs_by_recurrence(E: ExceptionSet, w: WeightFamily, ell: int, N: int) -> 
     return PartitionTable(E, w, ell, tuple(coeffs))
 
 
-# mantissa width of the intervals in bounded_signs
-MANTISSA_BITS = 96
-# rows of smaller size (see prefers_bounded) are faster on the exact recurrence;
-# the crossover measured on sweeps with N from 37 to 201 lies between 15k and 25k
-BOUNDED_MIN_SIZE = 20_000
+# mantissa widths of the interval rungs bounded_signs tries in turn, each twice the last;
+# a row still undecided at the top one goes to the exact recurrence.  The first is the
+# narrowest that decides every bounded row of the 2,4 50x400 and 3/example2 200x100
+# sweeps and of the theorems and figure1 suites: at 22 bits 1 of the 93 bounded
+# 3/example2 rows fails, at 20 bits 6, at 16 bits 21.  A 24-bit rung forms shorter
+# products and sums a narrower window of terms, so its rows took 25-35% less time than
+# at 96 bits on those sweeps.
+LADDER_BITS = (24, 48, 96)
+# rows of smaller size (see prefers_bounded) are faster on the exact recurrence; with the
+# first rung at 24 bits, single rows (best of 15) crossed over between 10k and 12k on
+# 51-wide 2,4/power rows and between 9.6k and 11.3k on 201-wide 3/example2 rows
+BOUNDED_MIN_SIZE = 12_000
 
 
 def prefers_bounded(E: ExceptionSet, w: WeightFamily, ell: int, n_max: int) -> bool:
@@ -119,16 +127,16 @@ def prefers_bounded(E: ExceptionSet, w: WeightFamily, ell: int, n_max: int) -> b
 
     The row's size is N = n_max + 1 times the bit length bound of its largest
     allowed weight f_ell(m), m <= N: the exact products grow with both, the
-    bounded ones stay MANTISSA_BITS wide.
+    bounded ones stay at most LADDER_BITS[-1] bits wide.
     """
     N = n_max + 1
     bits = max((w.exponent(ell, m) * m.bit_length() for m in support_view(E, N)[1:]), default=0)
     return N * bits >= BOUNDED_MIN_SIZE
 
 
-def _interval(x: int) -> tuple[int, int, int]:
-    """(lo, hi, e) with lo * 2^e <= x <= hi * 2^e and hi <= 2^MANTISSA_BITS; (x, x, 0) when x fits."""
-    e = x.bit_length() - MANTISSA_BITS
+def _interval(x: int, bits: int) -> tuple[int, int, int]:
+    """(lo, hi, e) with lo * 2^e <= x <= hi * 2^e and hi <= 2^bits; (x, x, 0) when x fits."""
+    e = x.bit_length() - bits
     if e <= 0:
         return x, x, 0
     return x >> e, ((x - 1) >> e) + 1, e
@@ -153,43 +161,46 @@ def _interval_sign(a: tuple[int, int, int], b: tuple[int, int, int], c: tuple[in
     return None
 
 
-def _bounded_coeffs(E: ExceptionSet, w: WeightFamily, ell: int, N: int) -> Iterator[tuple[int, int, int]]:
-    """Yield (lo, hi, e) with lo * 2^e <= p(n) <= hi * 2^e and hi <= 2^MANTISSA_BITS for n = 0..N.
+def _bounded_coeffs(g: Sequence[int], bits: int) -> Iterator[tuple[int, int, int]]:
+    """Yield (lo, hi, e) with lo * 2^e <= p(n) <= hi * 2^e and hi <= 2^bits for n = 0..N.
 
-    The recurrence of coeffs_by_recurrence on intervals: every term is
-    positive, so each product, alignment shift and division by n rounds
-    down for lo and up for hi.  A value stays exact (lo == hi, e = 0)
-    while it and every g(k) and p(j) it is computed from fit the width.
+    g holds g(1..N) after a placeholder in slot 0, as GTable.values does;
+    the bounds hold for any non-negative g.  The recurrence of
+    coeffs_by_recurrence on intervals: every term is positive, so each
+    product, alignment shift and division by n rounds down for lo and up
+    for hi.  A value stays exact (lo == hi, e = 0) while it and every
+    g(k) and p(j) it is computed from fit the width.
 
     Term k = g(k) p(n-k) sits at exponent g_e(k) + p_e(n-k), and only the
-    terms within 2 * MANTISSA_BITS of the top one are summed.  Only a
-    prefix k <= L is formed.  With g_tail[L] the largest g_e(k) over
-    k > L and p_top[j] the largest p_e over 0..j, every tail term has
-    exponent at most g_tail[L] + p_top[n-L-1], since n - k <= n - L - 1.
-    While that bound reaches the prefix's window, L doubles (up to n);
-    once it falls below, no tail term is the top one or inside the
-    window, so the top, the kept terms and (lo, hi, e) are exactly those
-    of a scan over every k.  L carries over to the next n.
+    terms within 2 * bits of the top one are summed.  Only a prefix
+    k <= L is formed.  With g_tail[L] the largest g_e(k) over k > L and
+    p_top[j] the largest p_e over 0..j, every tail term has exponent at
+    most g_tail[L] + p_top[n-L-1], since n - k <= n - L - 1.  While that
+    bound reaches the prefix's window, L doubles (up to n); once it falls
+    below, no tail term is the top one or inside the window, so the top,
+    the kept terms and (lo, hi, e) are exactly those of a scan over
+    every k.  L carries over to the next n.
     """
-    g_lo, g_hi, g_e = zip(*map(_interval, g_table(E, w, ell, N).values[1:]))
+    window = 2 * bits
+    g_lo, g_hi, g_e = zip(*(_interval(x, bits) for x in g[1:]))
     g_m = list(zip(g_lo, g_hi))
     # g_e[k-1] is the exponent of g(k), so g_tail[L] = max(g_e[L:]) is the largest one over k > L
     g_tail = list(accumulate(reversed(g_e), max))[::-1]
     p_m, p_e, p_top = [(1, 1)], [0], [0]
     yield 1, 1, 0
     L = 1
-    for n in range(1, N + 1):
+    for n in range(1, len(g)):
         while True:
             # term k is g(k) p(n-k) at exponent exps[k-1]; aligning all terms to the largest
             # exponent makes every shift go right
             exps = list(map(add, islice(g_e, L), reversed(p_e)))
             top = max(exps)
-            if L >= n or g_tail[L] + p_top[n - L - 1] < top - 2 * MANTISSA_BITS:
+            if L >= n or g_tail[L] + p_top[n - L - 1] < top - window:
                 break
             L = min(2 * L, n)
-        # mantissas are at most 2^MANTISSA_BITS, so a term shifted further than twice that
+        # mantissas are at most 2^bits, so a term shifted further than twice that
         # adds 0 to lo and exactly 1 to hi, which the n ones below already count
-        near = map(ge, exps, repeat(top - 2 * MANTISSA_BITS))
+        near = map(ge, exps, repeat(top - window))
         lo = hi = 0
         for (a_lo, a_hi), (b_lo, b_hi), x in compress(zip(g_m, reversed(p_m), exps), near):
             s = top - x
@@ -198,7 +209,7 @@ def _bounded_coeffs(E: ExceptionSet, w: WeightFamily, ell: int, N: int) -> Itera
         lo //= n
         hi = -(-(hi + n) // n)
         # renormalize hi to the full width: right shifts round outward, left shifts are exact
-        s = max(hi.bit_length() - MANTISSA_BITS, -top)
+        s = max(hi.bit_length() - bits, -top)
         if s > 0:
             lo, hi = lo >> s, ((hi - 1) >> s) + 1
         elif s < 0:
@@ -209,20 +220,16 @@ def _bounded_coeffs(E: ExceptionSet, w: WeightFamily, ell: int, N: int) -> Itera
         yield lo, hi, top + s
 
 
-def bounded_signs(E: ExceptionSet, w: WeightFamily, ell: int, n_max: int) -> tuple[int, ...] | None:
-    """Certified signs of p(n)^2 - p(n-1) p(n+1) for n = 1..n_max, or None if any is undecided.
+def _rung_signs(g: Sequence[int], bits: int) -> tuple[int, ...] | None:
+    """Certified signs of p(n)^2 - p(n-1) p(n+1) for n = 1..N-1 from bits-wide intervals, or None.
 
-    Runs the recurrence on intervals [lo, hi] * 2^e with integer mantissas
-    of at most MANTISSA_BITS bits.  A cell is +1 when
-    lo(p_n)^2 > hi(p_n-1) hi(p_n+1), -1 when hi(p_n)^2 < lo(p_n-1) lo(p_n+1),
-    and 0 only when all three values are exact and the two sides equal.
-    The first undecided cell ends the run.
+    g is as for _bounded_coeffs.  A cell is +1 when lo(p_n)^2 > hi(p_n-1) hi(p_n+1), -1 when
+    hi(p_n)^2 < lo(p_n-1) lo(p_n+1), and 0 only when all three values are
+    exact and the two sides equal.  The first undecided cell ends the run.
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
     signs = []
     a = b = None
-    for c in _bounded_coeffs(E, w, ell, n_max + 1):
+    for c in _bounded_coeffs(g, bits):
         if a is not None:
             sign = _interval_sign(a, b, c)
             if sign is None:
@@ -230,6 +237,24 @@ def bounded_signs(E: ExceptionSet, w: WeightFamily, ell: int, n_max: int) -> tup
             signs.append(sign)
         a, b = b, c
     return tuple(signs)
+
+
+def bounded_signs(E: ExceptionSet, w: WeightFamily, ell: int, n_max: int) -> tuple[int, tuple[int, ...]] | None:
+    """(bits, signs): certified signs of p(n)^2 - p(n-1) p(n+1) for n = 1..n_max, or None.
+
+    Runs the recurrence on intervals [lo, hi] * 2^e with integer mantissas
+    of at most bits bits, for each width of LADDER_BITS in turn until one
+    decides every cell; bits is that width.  None when no width does.
+    g(1..n_max + 1) is tabulated once and shared by every width.
+    """
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    g = g_table(E, w, ell, n_max + 1).values
+    for bits in LADDER_BITS:
+        signs = _rung_signs(g, bits)
+        if signs is not None:
+            return bits, signs
+    return None
 
 
 def coeffs_by_product(E: ExceptionSet, w: WeightFamily, ell: int, N: int) -> PartitionTable:

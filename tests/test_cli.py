@@ -1,15 +1,28 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from eulerprod import CheckResult, SuiteReport, parse_grid_csv, weight_from_spec
 from eulerprod.cli import main
+from eulerprod.qseries import LADDER_BITS
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_import_leaves_multiprocessing_unloaded():
+    # a serial run never needs the pool's machinery, so importing the front end must not pay for it
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = f"import sys; sys.path.insert(0, {str(src)!r}); import eulerprod.cli; print('multiprocessing' in sys.modules)"
+    result = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"
 
 
 class TestCompute:
@@ -155,8 +168,8 @@ class TestSweep:
         assert outputs[0] == outputs[1]
         rows = [json.loads(line) for line in (tmp_path / "rows.jsonl").read_text().splitlines()]
         assert [row["ell"] for row in rows] == list(range(1, 71))
-        assert all(set(row) == {"ell", "path", "seconds"} for row in rows)
-        assert {row["path"] for row in rows} == {"bounded", "exact"}
+        assert all(set(row) == {"ell", "path", "bits", "seconds"} for row in rows)
+        assert {(row["path"], row["bits"]) for row in rows} == {("bounded", LADDER_BITS[0]), ("exact", None)}
 
     def test_stats_show_sparse_support_exact(self, tmp_path, capsys):
         path = tmp_path / "rows.jsonl"
@@ -166,7 +179,7 @@ class TestSweep:
         assert code == 0
         rows = [json.loads(line) for line in path.read_text().splitlines()]
         assert [row["ell"] for row in rows] == list(range(1, 171))
-        assert {row["path"] for row in rows} == {"exact"}
+        assert {(row["path"], row["bits"]) for row in rows} == {("exact", None)}
 
     def test_budget_exceeded(self, tmp_path, capsys):
         path = tmp_path / "partial.csv"

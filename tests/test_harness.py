@@ -4,9 +4,13 @@ import os
 import pickle
 import time
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eulerprod import (
     BATTERY,
@@ -26,7 +30,8 @@ from eulerprod import (
 )
 from eulerprod import harness
 from eulerprod.harness import _worker_count
-from eulerprod.qseries import prefers_bounded
+from eulerprod.qseries import LADDER_BITS, prefers_bounded
+from test_maxprod import exception_specs
 
 POWER = weight_from_spec("power")
 E24 = exceptions_from_spec("2,4")
@@ -35,6 +40,32 @@ S13 = exceptions_from_spec("support:1,3")
 
 def small_grid():
     return sweep(S13, POWER, 3, 2)
+
+
+@pytest.fixture(scope="class")
+def shared_pool():
+    """One 2-worker pool for every example of a property test, instead of a pool per sweep.
+
+    Class-scoped, so its workers are joined before the tests that assert no child is left.
+    """
+    with ProcessPoolExecutor(max_workers=2) as pool:
+        yield pool
+
+
+class BorrowedPool:
+    """Stands in for the pool one pooled sweep builds: its shutdown cancels that sweep's rows, not the workers."""
+
+    def __init__(self, pool):
+        self.pool = pool
+        self.futures = []
+
+    def submit(self, fn, *args):
+        self.futures.append(self.pool.submit(fn, *args))
+        return self.futures[-1]
+
+    def shutdown(self, cancel_futures):
+        for future in self.futures:
+            future.cancel()
 
 
 class TestSweep:
@@ -100,7 +131,7 @@ class TestSweep:
             with monkeypatch.context() as patch, pytest.raises(BudgetExceeded) as info:
                 patch.setattr(harness, "time", clock)
                 sweep(E24, POWER, 30, 12, jobs=jobs, budget_seconds=1,
-                      on_row=lambda ell, path, seconds: seen.append(ell))
+                      on_row=lambda ell, bits, seconds: seen.append(ell))
             partial = info.value.partial
             assert partial.ell_range == (1, stop)
             assert partial.signs == full.signs[:stop]
@@ -131,11 +162,12 @@ class TestSweep:
     def test_on_row_reports_each_row_in_order(self, jobs):
         seen = []
         grid = sweep(E24, POWER, 50, 70, jobs=jobs,
-                     on_row=lambda ell, path, seconds: seen.append((ell, path, seconds)))
+                     on_row=lambda ell, bits, seconds: seen.append((ell, bits, seconds)))
         assert [ell for ell, _, _ in seen] == list(range(1, 71))
-        routes = ["bounded" if prefers_bounded(E24, POWER, ell, 50) else "exact" for ell in range(1, 71)]
-        assert [path for _, path, _ in seen] == routes
-        assert routes[0] == "exact" and routes[-1] == "bounded"
+        # every bounded row is decided at the first rung
+        widths = [LADDER_BITS[0] if prefers_bounded(E24, POWER, ell, 50) else None for ell in range(1, 71)]
+        assert [bits for _, bits, _ in seen] == widths
+        assert widths[0] is None and widths[-1] == LADDER_BITS[0]
         assert all(seconds > 0 for _, _, seconds in seen)
         assert grid.signs == sweep(E24, POWER, 50, 70).signs
 
@@ -161,6 +193,23 @@ class TestSweep:
             grid.sign(1, 3)
         with pytest.raises(IndexError):
             grid.column(0)
+
+
+class TestSharedPool:
+    @settings(max_examples=25, deadline=None)
+    @given(exception_specs(), st.sampled_from(("power", "example1", "example2")),
+           st.integers(2, 40), st.integers(1, 30))
+    # rows 55..70 of this one take the bounded route
+    @example(espec="2,4", wspec="power", n_max=50, ell_max=70)
+    def test_pooled_matches_serial_on_a_shared_pool(self, shared_pool, espec, wspec, n_max, ell_max):
+        E, w = exceptions_from_spec(espec), weight_from_spec(wspec)
+        seen = []
+        with mock.patch("concurrent.futures.ProcessPoolExecutor", lambda max_workers: BorrowedPool(shared_pool)):
+            pooled = sweep(E, w, n_max, ell_max, jobs=2, on_row=lambda ell, bits, seconds: seen.append(bits))
+        serial = []
+        assert pooled.signs == sweep(E, w, n_max, ell_max,
+                                     on_row=lambda ell, bits, seconds: serial.append(bits)).signs
+        assert seen == serial
 
 
 class TestStabilization:

@@ -1,6 +1,5 @@
 import json
 from math import comb
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,13 +18,15 @@ from eulerprod import (
     sweep,
     weight_from_spec,
 )
-from eulerprod import qseries
-from eulerprod.qseries import MANTISSA_BITS, GTable, _bounded_coeffs, _interval, _interval_sign, prefers_bounded
+from eulerprod import harness, qseries
+from eulerprod.qseries import LADDER_BITS, _bounded_coeffs, _interval, _interval_sign, _rung_signs, prefers_bounded
 from eulerprod.suites import _partition_counts
 from test_maxprod import exception_specs
 
 POWER = weight_from_spec("power")
 PRESETS = ("power", "example1", "example2")
+# every rung of the ladder, and a width far below any of them: no proof step may rely on the width
+WIDTHS = (4, *LADDER_BITS)
 
 
 def test_unit_weights_give_partition_numbers():
@@ -181,11 +182,11 @@ class TestBoundedSigns:
             for wspec in PRESETS:
                 w = weight_from_spec(wspec)
                 for ell in range(1, 61):
-                    row = bounded_signs(E, w, ell, 40)
-                    if row is None:
+                    bounded = bounded_signs(E, w, ell, 40)
+                    if bounded is None:
                         undecided.add(espec)
                     else:
-                        assert row == exact_signs(E, w, ell, 40), (espec, wspec, ell)
+                        assert bounded[1] == exact_signs(E, w, ell, 40), (espec, wspec, ell)
         # only the exact zero cells of S = {1, 3} (p(3m) = p(3m+1) = p(3m+2)) stay undecided
         assert undecided == {"support:1,3"}
 
@@ -194,11 +195,15 @@ class TestBoundedSigns:
            st.integers(1, 80), st.integers(1, 60))
     def test_never_contradicts_exact(self, espec, wspec, ell, n_max):
         E, w = exceptions_from_spec(espec), weight_from_spec(wspec)
-        row = bounded_signs(E, w, ell, n_max)
-        assert row is None or row == exact_signs(E, w, ell, n_max)
+        exact = exact_signs(E, w, ell, n_max)
+        g = g_table(E, w, ell, n_max + 1).values
+        for bits in WIDTHS:
+            row = _rung_signs(g, bits)
+            assert row is None or row == exact, bits
+        bounded = bounded_signs(E, w, ell, n_max)
+        assert bounded is None or bounded[1] == exact
 
     def test_intervals_bracket_exact_coefficients(self):
-        width = 1 << MANTISSA_BITS
         for espec in BATTERY:
             E = exceptions_from_spec(espec)
             for wspec in PRESETS:
@@ -206,12 +211,14 @@ class TestBoundedSigns:
                 for ell in (1, 7, 30, 60):
                     g = g_table(E, w, ell, 40).values
                     p = coeffs_by_recurrence(E, w, ell, 40).coeffs
-                    fits = True
-                    for n, (lo, hi, e) in enumerate(_bounded_coeffs(E, w, ell, 40)):
-                        assert lo << e <= p[n] <= hi << e and hi <= width, (espec, wspec, ell, n)
-                        fits = fits and p[n] < width and (n == 0 or g[n] < width)
-                        if fits:
-                            assert lo == hi == p[n] and e == 0, (espec, wspec, ell, n)
+                    for bits in WIDTHS:
+                        width = 1 << bits
+                        fits = True
+                        for n, (lo, hi, e) in enumerate(_bounded_coeffs(g, bits)):
+                            assert lo << e <= p[n] <= hi << e and hi <= width, (espec, wspec, ell, bits, n)
+                            fits = fits and p[n] < width and (n == 0 or g[n] < width)
+                            if fits:
+                                assert lo == hi == p[n] and e == 0, (espec, wspec, ell, bits, n)
 
     @pytest.mark.parametrize("a,b,c,sign", [
         ((4, 4, 0), (5, 5, 0), (6, 6, 0), 1),
@@ -229,35 +236,62 @@ class TestBoundedSigns:
         # p(0) = p(1) = p(2) = 1 without the part 2, so the zero at n = 1 is exact at every ell
         E24 = exceptions_from_spec("2,4")
         for ell in (1, 50, 400):
-            assert bounded_signs(E24, POWER, ell, 3)[0] == 0
-        # at ell = 1 every p(n) fits the mantissa, so the zeros of S = {1, 3} are certified too
+            assert bounded_signs(E24, POWER, ell, 3)[1][0] == 0
+        # at ell = 1 every p(n) fits the narrowest rung, so the zeros of S = {1, 3} are certified too
         S13 = exceptions_from_spec("support:1,3")
-        row = bounded_signs(S13, POWER, 1, 40)
-        assert row == exact_signs(S13, POWER, 1, 40) and row.count(0) == 14
+        row = exact_signs(S13, POWER, 1, 40)
+        assert bounded_signs(S13, POWER, 1, 40) == (LADDER_BITS[0], row) and row.count(0) == 14
 
     def test_sparse_support_falls_back(self):
         S13 = exceptions_from_spec("support:1,3")
         assert bounded_signs(S13, POWER, 170, 60) is None
-        paths = {}
-        grid = sweep(S13, POWER, 60, 170, on_row=lambda ell, path, seconds: paths.update({ell: path}))
+        widths = {}
+        grid = sweep(S13, POWER, 60, 170, on_row=lambda ell, bits, seconds: widths.update({ell: bits}))
         assert prefers_bounded(S13, POWER, 170, 60)
-        assert set(paths.values()) == {"exact"} and sorted(paths) == list(range(1, 171))
+        assert set(widths.values()) == {None} and sorted(widths) == list(range(1, 171))
         assert grid.signs == tuple(exact_signs(S13, POWER, ell, 60) for ell in range(1, 171))
 
     def test_figure_row_is_bounded(self):
         # the top row of the 50 x 400 grid for E = {2, 4}: coefficients near 10.7k bits
         E24 = exceptions_from_spec("2,4")
         assert prefers_bounded(E24, POWER, 400, 50)
-        assert bounded_signs(E24, POWER, 400, 50) == exact_signs(E24, POWER, 400, 50)
+        assert bounded_signs(E24, POWER, 400, 50) == (LADDER_BITS[0], exact_signs(E24, POWER, 400, 50))
+
+    @pytest.mark.parametrize("ell,bits", [(200, LADDER_BITS[1]), (400, LADDER_BITS[2])])
+    def test_wider_rung_decides_tie_column_rows(self, ell, bits):
+        # at n = 8 the leading bases tie (18^2 = 12 * 27), so Delta(8) / p(8)^2 shrinks with ell
+        # and the narrower rungs cannot separate it
+        E = exceptions_from_spec("none")
+        g = g_table(E, POWER, ell, 51).values
+        assert all(_rung_signs(g, narrower) is None for narrower in LADDER_BITS if narrower < bits)
+        assert bounded_signs(E, POWER, ell, 50) == (bits, exact_signs(E, POWER, ell, 50))
+
+    def test_one_g_table_per_row(self, monkeypatch):
+        calls = []
+
+        def counting_g_table(*args):
+            calls.append(args)
+            return g_table(*args)
+
+        monkeypatch.setattr(qseries, "g_table", counting_g_table)
+        E = exceptions_from_spec("none")
+        widths = []
+        for ell in (100, 200, 400):
+            calls.clear()
+            widths.append(harness._sign_row((E, POWER, ell, 50))[2])
+            assert calls == [(E, POWER, ell, 51)], ell
+        # decided at the first, second and third rung
+        assert widths == list(LADDER_BITS)
 
     def test_rejects_empty_row(self):
         with pytest.raises(ValueError):
             bounded_signs(exceptions_from_spec("none"), POWER, 1, 0)
 
 
-def full_scan_coeffs(g, N):
+def full_scan_coeffs(g, bits):
     """The interval recurrence summing over every term k = 1..n, with no tail cut: (lo, hi, e) for p(0..N)."""
-    g = [_interval(x) for x in g]  # g[k] for k = 1..N; slot 0 is unused
+    N = len(g) - 1
+    g = [_interval(x, bits) for x in g]  # g[k] for k = 1..N; slot 0 is unused
     p = [(1, 1, 0)]
     for n in range(1, N + 1):
         terms = [(g[k], p[n - k]) for k in range(1, n + 1)]
@@ -265,12 +299,12 @@ def full_scan_coeffs(g, N):
         lo = hi = 0
         for (a_lo, a_hi, a_e), (b_lo, b_hi, b_e) in terms:
             s = top - a_e - b_e
-            if s <= 2 * MANTISSA_BITS:
+            if s <= 2 * bits:
                 lo += a_lo * b_lo >> s
                 hi += a_hi * b_hi - 1 >> s
         lo //= n
         hi = -(-(hi + n) // n)
-        s = max(hi.bit_length() - MANTISSA_BITS, -top)
+        s = max(hi.bit_length() - bits, -top)
         if s > 0:
             lo, hi = lo >> s, ((hi - 1) >> s) + 1
         elif s < 0:
@@ -279,9 +313,14 @@ def full_scan_coeffs(g, N):
     return p
 
 
-def assert_cut_matches_full_scan(E, w, ell, N):
-    expected = full_scan_coeffs(g_table(E, w, ell, N).values, N)
-    assert list(_bounded_coeffs(E, w, ell, N)) == expected, (E.spec_text, w.id, ell, N)
+def assert_cut_matches_full_scan(g, label):
+    """_bounded_coeffs over g (g(1..N) after a placeholder) equals the full scan, bit for bit, at every width."""
+    for bits in WIDTHS:
+        assert list(_bounded_coeffs(g, bits)) == full_scan_coeffs(g, bits), (*label, bits)
+
+
+def assert_row_cut_matches_full_scan(E, w, ell, N):
+    assert_cut_matches_full_scan(g_table(E, w, ell, N).values, (E.spec_text, w.id, ell, N))
 
 
 class TestTailCut:
@@ -294,35 +333,33 @@ class TestTailCut:
             w = weight_from_spec(wspec)
             for ell in (1, 13, 60, 120):
                 for N in (41, 120):
-                    assert_cut_matches_full_scan(E, w, ell, N)
+                    assert_row_cut_matches_full_scan(E, w, ell, N)
 
     @pytest.mark.parametrize("espec,wspec,ell", [
         ("3", "example2", 13), ("3", "example2", 50), ("3", "example2", 100),
         ("none", "power", 30), ("none", "power", 100),
     ])
     def test_wide_rows(self, espec, wspec, ell):
-        assert_cut_matches_full_scan(exceptions_from_spec(espec), weight_from_spec(wspec), ell, 201)
+        assert_row_cut_matches_full_scan(exceptions_from_spec(espec), weight_from_spec(wspec), ell, 201)
 
     @settings(max_examples=12, deadline=None)
     @given(st.sampled_from(BATTERY), st.sampled_from(PRESETS), st.integers(1, 150), st.integers(1, 201))
     def test_random_rows(self, espec, wspec, ell, N):
-        assert_cut_matches_full_scan(exceptions_from_spec(espec), weight_from_spec(wspec), ell, N)
+        assert_row_cut_matches_full_scan(exceptions_from_spec(espec), weight_from_spec(wspec), ell, N)
 
     def test_custom_weight_row(self, tmp_path):
         # g(12) and g(15) dwarf their neighbours, so the tail maximum must include k = L + 1
         path = tmp_path / "weights.json"
         path.write_text(json.dumps({"base": -1, "phi": 0, "psi": 0, "B": 0,
                                     "overrides": {"2": "1", "12": "133", "15": "203"}}))
-        assert_cut_matches_full_scan(exceptions_from_spec("2,4"), weight_from_spec(f"custom:{path}"), 1, 19)
+        assert_row_cut_matches_full_scan(exceptions_from_spec("2,4"), weight_from_spec(f"custom:{path}"), 1, 19)
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.one_of(st.sampled_from((0, 1)), st.integers(0, 1 << 400)), min_size=1, max_size=40))
     # the tail maximum over k > L includes g(L + 1)
     @example(g=[1, 2 ** 369 + 12345, 2 ** 380 + 12345, 0])
-    # a tail term exactly 2 * MANTISSA_BITS below the top is inside the window
+    # a tail term exactly 2 * 96 bits below the top is inside the window of the 96-bit rung
     @example(g=[0, 1, 1, 2 ** 146, 2 ** 133, 1, 1, 2 ** 111 + 12345, 1, 1, 1])
     def test_any_nonnegative_g(self, g):
         # the cut is a statement about the recurrence for any non-negative g(1..N), not only divisor sums
-        N = len(g)
-        with mock.patch.object(qseries, "g_table", lambda E, w, ell, N: GTable(E, w, ell, (0, *g))):
-            assert list(_bounded_coeffs(None, None, 1, N)) == full_scan_coeffs([0, *g], N)
+        assert_cut_matches_full_scan((0, *g), ())
