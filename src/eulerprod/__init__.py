@@ -64,13 +64,13 @@ from .qseries import (
     DeltaValue,
     GTable,
     PartitionTable,
-    bounded_signs,
     check_bounds,
     check_g_bounds,
     coeffs_by_product,
     coeffs_by_recurrence,
     delta,
     g_table,
+    row_signs,
 )
 from .suites import BATTERY, SUITE_IDS, CheckResult, SuiteReport, verify_suite
 

@@ -1,10 +1,9 @@
 """Sign grids over (n, ell), stabilization thresholds, file emission.
 
 A sweep computes sign(p(n)^2 - p(n-1) p(n+1)) for every cell of an
-(n, ell) rectangle, one row per ell: certified from interval bounds,
-narrow first and wider while a cell is undecided, when the row is
-large, and from the exact coefficient table otherwise or when no
-width decides every cell.  Stabilization reduces each column to its
+(n, ell) rectangle, one row per ell, each by qseries.row_signs: it
+picks the row's route (certified interval bounds or the exact
+recurrence) and reports which one decided it.  Stabilization reduces each column to its
 terminal sign and the least ell from which that sign persists, and
 compares against classifier predictions.
 """
@@ -31,7 +30,7 @@ from .classify import (
     _pipeline_columns,
 )
 from .model import ExceptionSet, WeightFamily
-from .qseries import bounded_signs, coeffs_by_recurrence, delta, prefers_bounded
+from .qseries import row_signs
 
 
 @dataclass(frozen=True)
@@ -91,11 +90,7 @@ def _sign_row(task: tuple[ExceptionSet, WeightFamily, int, int]) -> tuple[int, t
     """One grid row: (ell, signs, the interval width that decided them or None for exact, seconds taken)."""
     E, w, ell, n_max = task
     start = time.perf_counter()
-    decided = bounded_signs(E, w, ell, n_max) if prefers_bounded(E, w, ell, n_max) else None
-    if decided is None:
-        table = coeffs_by_recurrence(E, w, ell, n_max + 1)
-        decided = None, tuple(delta(table, n).sign for n in range(1, n_max + 1))
-    bits, row = decided
+    bits, row = row_signs(E, w, ell, n_max)
     return ell, row, bits, time.perf_counter() - start
 
 
@@ -139,9 +134,9 @@ def sweep(E: ExceptionSet, w: WeightFamily, n_max: int, ell_max: int,
           on_row: Callable[[int, int | None, float], None] | None = None) -> SignGrid:
     """Exact sign grid for n in 1..n_max, ell in 1..ell_max.
 
-    Each row is certified by bounded_signs when the row is large enough to
-    gain from it, and computed by the exact recurrence otherwise or when a
-    cell stays undecided.  on_row, if given, is called in ell order with
+    Each row comes from row_signs: certified on intervals when the row is
+    large enough to gain from it, and computed by the exact recurrence
+    otherwise or when a cell stays undecided.  on_row, if given, is called in ell order with
     (ell, the interval width that decided the row or None for the exact
     recurrence, seconds the row took).  Once the budget has passed, the
     sweep stops after the current row with BudgetExceeded.

@@ -4,10 +4,12 @@ Two independent paths produce the coefficients p(0..N) of
 prod_{m in S} (1 - q^m)^(-f_ell(m)): a divisor-sum recurrence and a
 truncated product of negative-binomial series.  They must agree
 exactly; the recurrence is the workhorse, the product the oracle.
-For sign grids, bounded_signs runs the same recurrence on fixed-width
+For sign grids, row_signs tables g once per row and reads the row's
+size from it: a large row runs the same recurrence on fixed-width
 integer intervals, narrow first and wider while a cell stays undecided,
-and certifies each sign or gives up.  All arithmetic
-is integer arithmetic, no floats anywhere.
+which certifies each sign; a small row, or one no width decides, runs
+the exact recurrence on the same g.  All arithmetic is integer
+arithmetic, no floats anywhere.
 """
 
 from __future__ import annotations
@@ -88,50 +90,44 @@ def g_table(E: ExceptionSet, w: WeightFamily, ell: int, N: int) -> GTable:
     return GTable(E, w, ell, tuple(values))
 
 
+def _recurrence(g: Sequence[int]) -> list[int]:
+    """p(0..N) from g(1..N) (slot 0 a placeholder, as in GTable.values) by n p(n) = sum_k g(k) p(n-k)."""
+    coeffs = [1]
+    for n in range(1, len(g)):
+        acc = 0
+        for k in range(1, n + 1):
+            acc += g[k] * coeffs[n - k]
+        q, r = divmod(acc, n)
+        if r:
+            raise ArithmeticError(
+                f"inexact division at n={n}: the log-derivative identity guarantees divisibility, so this is a bug")
+        coeffs.append(q)
+    return coeffs
+
+
 def coeffs_by_recurrence(E: ExceptionSet, w: WeightFamily, ell: int, N: int) -> PartitionTable:
     """Coefficients via n p(n) = sum_k g(k) p(n-k); division always exact."""
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
-    coeffs = [0] * (N + 1)
-    coeffs[0] = 1
-    if N >= 1:
-        g = g_table(E, w, ell, N).values
-        for n in range(1, N + 1):
-            acc = 0
-            for k in range(1, n + 1):
-                acc += g[k] * coeffs[n - k]
-            q, r = divmod(acc, n)
-            if r:
-                raise ArithmeticError(
-                    f"inexact division at n={n}: the log-derivative identity guarantees divisibility, so this is a bug")
-            coeffs[n] = q
-    return PartitionTable(E, w, ell, tuple(coeffs))
+    g = g_table(E, w, ell, N).values if N >= 1 else (0,)
+    return PartitionTable(E, w, ell, tuple(_recurrence(g)))
 
 
-# mantissa widths of the interval rungs bounded_signs tries in turn, each twice the last;
+# mantissa widths of the interval rungs row_signs tries in turn, each twice the last;
 # a row still undecided at the top one goes to the exact recurrence.  The first is the
 # narrowest that decides every bounded row of the 2,4 50x400 and 3/example2 200x100
-# sweeps and of the theorems and figure1 suites: at 22 bits 1 of the 93 bounded
-# 3/example2 rows fails, at 20 bits 6, at 16 bits 21.  A 24-bit rung forms shorter
+# sweeps and of the theorems and figure1 suites: at 22 bits 1 of the 94 bounded
+# 3/example2 rows fails, at 20 bits 6, at 16 bits 22.  A 24-bit rung forms shorter
 # products and sums a narrower window of terms, so its rows took 25-35% less time than
 # at 96 bits on those sweeps.
 LADDER_BITS = (24, 48, 96)
-# rows of smaller size (see prefers_bounded) are faster on the exact recurrence; with the
-# first rung at 24 bits, single rows (best of 15) crossed over between 10k and 12k on
-# 51-wide 2,4/power rows and between 9.6k and 11.3k on 201-wide 3/example2 rows
+# a row's size is N = n_max + 1 times the bit length of its largest g(k), read from the
+# table row_signs already holds; smaller rows are faster on the exact recurrence.  Timing
+# both routes on one g (best of 15 single rows, alternating), bounded overtook exact
+# between 11.3k and 11.6k on 51-wide 2,4/power rows, 10.9k and 12.5k on 201-wide
+# 3/example2 rows, 12.0k and 12.2k on 37-wide 4/power rows and near 12.3k on 41-wide
+# 3/power rows
 BOUNDED_MIN_SIZE = 12_000
-
-
-def prefers_bounded(E: ExceptionSet, w: WeightFamily, ell: int, n_max: int) -> bool:
-    """Whether bounded_signs is expected to beat the exact recurrence on this row.
-
-    The row's size is N = n_max + 1 times the bit length bound of its largest
-    allowed weight f_ell(m), m <= N: the exact products grow with both, the
-    bounded ones stay at most LADDER_BITS[-1] bits wide.
-    """
-    N = n_max + 1
-    bits = max((w.exponent(ell, m) * m.bit_length() for m in support_view(E, N)[1:]), default=0)
-    return N * bits >= BOUNDED_MIN_SIZE
 
 
 def _interval(x: int, bits: int) -> tuple[int, int, int]:
@@ -239,22 +235,25 @@ def _rung_signs(g: Sequence[int], bits: int) -> tuple[int, ...] | None:
     return tuple(signs)
 
 
-def bounded_signs(E: ExceptionSet, w: WeightFamily, ell: int, n_max: int) -> tuple[int, tuple[int, ...]] | None:
-    """(bits, signs): certified signs of p(n)^2 - p(n-1) p(n+1) for n = 1..n_max, or None.
+def row_signs(E: ExceptionSet, w: WeightFamily, ell: int, n_max: int) -> tuple[int | None, tuple[int, ...]]:
+    """(bits, signs): the signs of p(n)^2 - p(n-1) p(n+1) for n = 1..n_max, all exact.
 
-    Runs the recurrence on intervals [lo, hi] * 2^e with integer mantissas
-    of at most bits bits, for each width of LADDER_BITS in turn until one
-    decides every cell; bits is that width.  None when no width does.
-    g(1..n_max + 1) is tabulated once and shared by every width.
+    g(1..n_max + 1) is tabulated once.  When the row's size, N = n_max + 1
+    times the bit length of its largest g(k), is at least BOUNDED_MIN_SIZE,
+    the row runs on intervals of each width of LADDER_BITS in turn until one
+    certifies every cell; bits is that width.  A smaller row, or one no width
+    decides, takes the exact recurrence on the same g, and bits is None.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     g = g_table(E, w, ell, n_max + 1).values
-    for bits in LADDER_BITS:
-        signs = _rung_signs(g, bits)
-        if signs is not None:
-            return bits, signs
-    return None
+    if (n_max + 1) * max(g).bit_length() >= BOUNDED_MIN_SIZE:
+        for bits in LADDER_BITS:
+            signs = _rung_signs(g, bits)
+            if signs is not None:
+                return bits, signs
+    p = _recurrence(g)
+    return None, tuple((d > 0) - (d < 0) for d in (b * b - a * c for a, b, c in zip(p, p[1:], p[2:])))
 
 
 def coeffs_by_product(E: ExceptionSet, w: WeightFamily, ell: int, N: int) -> PartitionTable:

@@ -30,7 +30,7 @@ from eulerprod import (
 )
 from eulerprod import harness
 from eulerprod.harness import _worker_count
-from eulerprod.qseries import LADDER_BITS, prefers_bounded
+from eulerprod.qseries import LADDER_BITS
 from test_maxprod import exception_specs
 
 POWER = weight_from_spec("power")
@@ -40,6 +40,15 @@ S13 = exceptions_from_spec("support:1,3")
 
 def small_grid():
     return sweep(S13, POWER, 3, 2)
+
+
+@st.composite
+def sign_grids(draw):
+    """SignGrids of arbitrary signs, their ell range starting anywhere from 1 up."""
+    n_max = draw(st.integers(1, 8))
+    rows = draw(st.lists(st.tuples(*[st.sampled_from((-1, 0, 1))] * n_max), min_size=1, max_size=8))
+    lo = draw(st.integers(1, 500))
+    return SignGrid(E24, POWER, n_max, (lo, lo + len(rows) - 1), tuple(rows))
 
 
 @pytest.fixture(scope="class")
@@ -164,10 +173,8 @@ class TestSweep:
         grid = sweep(E24, POWER, 50, 70, jobs=jobs,
                      on_row=lambda ell, bits, seconds: seen.append((ell, bits, seconds)))
         assert [ell for ell, _, _ in seen] == list(range(1, 71))
-        # every bounded row is decided at the first rung
-        widths = [LADDER_BITS[0] if prefers_bounded(E24, POWER, ell, 50) else None for ell in range(1, 71)]
-        assert [bits for _, bits, _ in seen] == widths
-        assert widths[0] is None and widths[-1] == LADDER_BITS[0]
+        # rows 1..41 are below the route boundary; every bounded row is decided at the first rung
+        assert [bits for _, bits, _ in seen] == [None] * 41 + [LADDER_BITS[0]] * 29
         assert all(seconds > 0 for _, _, seconds in seen)
         assert grid.signs == sweep(E24, POWER, 50, 70).signs
 
@@ -199,7 +206,7 @@ class TestSharedPool:
     @settings(max_examples=25, deadline=None)
     @given(exception_specs(), st.sampled_from(("power", "example1", "example2")),
            st.integers(2, 40), st.integers(1, 30))
-    # rows 55..70 of this one take the bounded route
+    # rows 42..70 of this one take the bounded route
     @example(espec="2,4", wspec="power", n_max=50, ell_max=70)
     def test_pooled_matches_serial_on_a_shared_pool(self, shared_pool, espec, wspec, n_max, ell_max):
         E, w = exceptions_from_spec(espec), weight_from_spec(wspec)
@@ -276,14 +283,15 @@ class TestEmission:
             b"2,1,-1\r\n2,2,-1\r\n"
             b"3,1,1\r\n3,2,1\r\n")
 
-    def test_csv_round_trip(self, tmp_path):
-        grid = sweep(E24, POWER, 6, 4)
-        path = tmp_path / "grid.csv"
+    @settings(max_examples=50, deadline=None)
+    @given(sign_grids())
+    @example(sweep(E24, POWER, 6, 4))
+    def test_csv_round_trip(self, tmp_path_factory, grid):
+        path = tmp_path_factory.mktemp("csv") / "grid.csv"
         emit_grid(grid, str(path), "csv")
-        cells = parse_grid_csv(str(path))
-        for n in range(1, 7):
-            for ell in range(1, 5):
-                assert cells[n, ell] == grid.sign(n, ell)
+        lo, hi = grid.ell_range
+        assert parse_grid_csv(str(path)) == {(n, ell): grid.sign(n, ell)
+                                             for n in range(1, grid.n_max + 1) for ell in range(lo, hi + 1)}
 
     def test_json(self, tmp_path):
         path = tmp_path / "grid.json"

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from eulerprod import (
     BATTERY,
-    bounded_signs,
     check_bounds,
     check_g_bounds,
     coeffs_by_product,
@@ -15,15 +14,18 @@ from eulerprod import (
     delta,
     exceptions_from_spec,
     g_table,
+    row_signs,
     sweep,
     weight_from_spec,
 )
 from eulerprod import harness, qseries
-from eulerprod.qseries import LADDER_BITS, _bounded_coeffs, _interval, _interval_sign, _rung_signs, prefers_bounded
+from eulerprod.qseries import BOUNDED_MIN_SIZE, LADDER_BITS, _bounded_coeffs, _interval, _interval_sign, _rung_signs
 from eulerprod.suites import _partition_counts
 from test_maxprod import exception_specs
 
 POWER = weight_from_spec("power")
+E24 = exceptions_from_spec("2,4")
+S13 = exceptions_from_spec("support:1,3")
 PRESETS = ("power", "example1", "example2")
 # every rung of the ladder, and a width far below any of them: no proof step may rely on the width
 WIDTHS = (4, *LADDER_BITS)
@@ -174,6 +176,20 @@ def exact_signs(E, w, ell, n_max):
     return tuple(delta(t, n).sign for n in range(1, n_max + 1))
 
 
+def ladder_signs(E, w, ell, n_max):
+    """The precision ladder alone, whatever the row's size: (bits, signs) from the first width that decides, or None."""
+    g = g_table(E, w, ell, n_max + 1).values
+    for bits in LADDER_BITS:
+        signs = _rung_signs(g, bits)
+        if signs is not None:
+            return bits, signs
+    return None
+
+
+def row_size(E, w, ell, n_max):
+    return (n_max + 1) * max(g_table(E, w, ell, n_max + 1).values).bit_length()
+
+
 class TestBoundedSigns:
     def test_rows_match_exact_over_battery(self):
         undecided = set()
@@ -182,7 +198,7 @@ class TestBoundedSigns:
             for wspec in PRESETS:
                 w = weight_from_spec(wspec)
                 for ell in range(1, 61):
-                    bounded = bounded_signs(E, w, ell, 40)
+                    bounded = ladder_signs(E, w, ell, 40)
                     if bounded is None:
                         undecided.add(espec)
                     else:
@@ -200,8 +216,23 @@ class TestBoundedSigns:
         for bits in WIDTHS:
             row = _rung_signs(g, bits)
             assert row is None or row == exact, bits
-        bounded = bounded_signs(E, w, ell, n_max)
-        assert bounded is None or bounded[1] == exact
+
+    @settings(max_examples=60, deadline=None)
+    @given(exception_specs(), st.sampled_from(PRESETS), st.integers(1, 80), st.integers(1, 60))
+    # the last exact and the first bounded row of the 51-wide 2,4/power sweep
+    @example(espec="2,4", wspec="power", ell=41, n_max=50)
+    @example(espec="2,4", wspec="power", ell=42, n_max=50)
+    # large enough for the ladder, which cannot certify its exact zeros, so it falls back
+    @example(espec="support:1,3", wspec="power", ell=170, n_max=60)
+    def test_row_signs_equal_exact_over_the_grammar(self, espec, wspec, ell, n_max):
+        E, w = exceptions_from_spec(espec), weight_from_spec(wspec)
+        assert row_signs(E, w, ell, n_max)[1] == exact_signs(E, w, ell, n_max)
+
+    def test_route_boundary(self):
+        # 2,4/power rows with n_max = 50 reach BOUNDED_MIN_SIZE between ell 41 and 42
+        assert row_size(E24, POWER, 41, 50) < BOUNDED_MIN_SIZE <= row_size(E24, POWER, 42, 50)
+        assert row_signs(E24, POWER, 41, 50) == (None, exact_signs(E24, POWER, 41, 50))
+        assert row_signs(E24, POWER, 42, 50) == (LADDER_BITS[0], exact_signs(E24, POWER, 42, 50))
 
     def test_intervals_bracket_exact_coefficients(self):
         for espec in BATTERY:
@@ -234,28 +265,24 @@ class TestBoundedSigns:
 
     def test_values_within_the_width_stay_exact(self):
         # p(0) = p(1) = p(2) = 1 without the part 2, so the zero at n = 1 is exact at every ell
-        E24 = exceptions_from_spec("2,4")
         for ell in (1, 50, 400):
-            assert bounded_signs(E24, POWER, ell, 3)[1][0] == 0
+            assert ladder_signs(E24, POWER, ell, 3)[1][0] == 0
         # at ell = 1 every p(n) fits the narrowest rung, so the zeros of S = {1, 3} are certified too
-        S13 = exceptions_from_spec("support:1,3")
         row = exact_signs(S13, POWER, 1, 40)
-        assert bounded_signs(S13, POWER, 1, 40) == (LADDER_BITS[0], row) and row.count(0) == 14
+        assert ladder_signs(S13, POWER, 1, 40) == (LADDER_BITS[0], row) and row.count(0) == 14
 
     def test_sparse_support_falls_back(self):
-        S13 = exceptions_from_spec("support:1,3")
-        assert bounded_signs(S13, POWER, 170, 60) is None
+        assert ladder_signs(S13, POWER, 170, 60) is None
+        assert row_size(S13, POWER, 170, 60) >= BOUNDED_MIN_SIZE
+        assert row_signs(S13, POWER, 170, 60) == (None, exact_signs(S13, POWER, 170, 60))
         widths = {}
         grid = sweep(S13, POWER, 60, 170, on_row=lambda ell, bits, seconds: widths.update({ell: bits}))
-        assert prefers_bounded(S13, POWER, 170, 60)
         assert set(widths.values()) == {None} and sorted(widths) == list(range(1, 171))
         assert grid.signs == tuple(exact_signs(S13, POWER, ell, 60) for ell in range(1, 171))
 
     def test_figure_row_is_bounded(self):
         # the top row of the 50 x 400 grid for E = {2, 4}: coefficients near 10.7k bits
-        E24 = exceptions_from_spec("2,4")
-        assert prefers_bounded(E24, POWER, 400, 50)
-        assert bounded_signs(E24, POWER, 400, 50) == (LADDER_BITS[0], exact_signs(E24, POWER, 400, 50))
+        assert row_signs(E24, POWER, 400, 50) == (LADDER_BITS[0], exact_signs(E24, POWER, 400, 50))
 
     @pytest.mark.parametrize("ell,bits", [(200, LADDER_BITS[1]), (400, LADDER_BITS[2])])
     def test_wider_rung_decides_tie_column_rows(self, ell, bits):
@@ -264,7 +291,7 @@ class TestBoundedSigns:
         E = exceptions_from_spec("none")
         g = g_table(E, POWER, ell, 51).values
         assert all(_rung_signs(g, narrower) is None for narrower in LADDER_BITS if narrower < bits)
-        assert bounded_signs(E, POWER, ell, 50) == (bits, exact_signs(E, POWER, ell, 50))
+        assert row_signs(E, POWER, ell, 50) == (bits, exact_signs(E, POWER, ell, 50))
 
     def test_one_g_table_per_row(self, monkeypatch):
         calls = []
@@ -274,18 +301,18 @@ class TestBoundedSigns:
             return g_table(*args)
 
         monkeypatch.setattr(qseries, "g_table", counting_g_table)
-        E = exceptions_from_spec("none")
-        widths = []
-        for ell in (100, 200, 400):
+        none = exceptions_from_spec("none")
+        # an exact-routed row, rows decided at the first, second and third rung, and a fallback
+        rows = [(E24, 10, 50, None), *((none, ell, 50, bits) for ell, bits in zip((100, 200, 400), LADDER_BITS)),
+                (S13, 170, 60, None)]
+        for E, ell, n_max, bits in rows:
             calls.clear()
-            widths.append(harness._sign_row((E, POWER, ell, 50))[2])
-            assert calls == [(E, POWER, ell, 51)], ell
-        # decided at the first, second and third rung
-        assert widths == list(LADDER_BITS)
+            assert harness._sign_row((E, POWER, ell, n_max))[2] == bits, (E, ell)
+            assert calls == [(E, POWER, ell, n_max + 1)], (E, ell)
 
     def test_rejects_empty_row(self):
         with pytest.raises(ValueError):
-            bounded_signs(exceptions_from_spec("none"), POWER, 1, 0)
+            row_signs(exceptions_from_spec("none"), POWER, 1, 0)
 
 
 def full_scan_coeffs(g, bits):
