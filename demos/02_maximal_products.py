@@ -10,7 +10,6 @@ Maximal part products over restricted partitions
 # with every partition that attains it.
 
 from eulerprod import (
-    SupportHead,
     closed_form_max,
     exceptions_from_spec,
     max_product,
@@ -43,17 +42,18 @@ print("brute force agrees:", rb == r)
 E24 = exceptions_from_spec("2,4")
 print("M(1..12), parts 2 and 4 excluded:", max_product_values(E24, 12)[1:])
 
-# When the allowed set has a simple head, the maximizer follows a
-# closed form and no search is needed.  A SupportHead lists the small
-# allowed parts and the point from which everything is allowed.
-head = SupportHead(elements=(1, 3, 4), tail_from=5)
-r = closed_form_max(head, 25)
+# When the smallest allowed parts fall into a known case, the maximizer
+# follows a closed form and no search is needed.  With 2 excluded the
+# smallest parts are 1, 3, 4 and then everything from 5 on, and M(n)
+# mixes 3s and 4s once n is large enough.
+E2 = exceptions_from_spec("2")
+r = closed_form_max(E2, 25)
 print("closed form at n = 25:", r.product,
       [m.parts for m in r.maximizers])
 
 # The closed form and the dynamic program meet on the same answer.
-rd = max_product(exceptions_from_spec("2"), 25)
+rd = max_product(E2, 25)
 print("dp product matches:", rd.product == r.product)
 
 # Outside its hypotheses the closed form declines rather than guess.
-print("declines at n = 23:", closed_form_max(head, 23) is None)
+print("declines at n = 23:", closed_form_max(E2, 23) is None)

@@ -38,7 +38,6 @@ from .maxprod import (
     MaxProdReport,
     MaxProdTable,
     PartitionMultiset,
-    SupportHead,
     closed_form_max,
     max_product,
     max_product_bruteforce,
@@ -56,6 +55,7 @@ from .model import (
     exceptions_from_spec,
     largest_S_divisor,
     member,
+    next_allowed,
     sigma_E1,
     support_view,
     weight_from_spec,

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .maxprod import MaxProdTable, _coefficient
-from .model import PRESETS, ExceptionSet, WeightFamily, member
+from .model import PRESETS, ExceptionSet, WeightFamily, member, next_allowed
 from .qseries import g_table
 
 EVENTUALLY_CONCAVE = "eventually-concave"
@@ -285,10 +285,9 @@ def theorem_table(E: ExceptionSet, n: int) -> Prediction:
                               {"case": "1,3,5 allowed, 2,4 excluded", "rule": "n = 1 mod 3"})
         return Prediction(UNKNOWN, MECH_NONE,
                           {"note": "2, 4 and 5 excluded with support beyond {1,3}: open configuration"})
-    head = next((m for m in range(2, n + 2) if in_S(m)), None)
-    if (head is not None and head >= 3 and in_S(head + 1)
-            and all(member(E, m) for m in range(2, head))):
-        r = head
+    # 2 is excluded here, so the least allowed part above 1 is at least 3
+    r = next_allowed(E, 1)
+    if r is not None and r <= n + 1 and in_S(r + 1):
         if n >= (r * (r - 1) * (3 * r - 1) + 4) // 2:
             if n % r == r - 1:
                 return Prediction(EVENTUALLY_CONVEX, MECH_TABLE, {

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .classify import classify_pipeline
 from .harness import BudgetExceeded, default_predictions, emit_grid, stabilization, sweep
-from .maxprod import MaxProdReport, SupportHead, closed_form_max, max_product
+from .maxprod import MaxProdReport, closed_form_max, max_product
 from .model import exceptions_from_spec, weight_from_spec
 from .qseries import coeffs_by_recurrence, delta
 from .suites import SUITE_IDS, verify_suite
@@ -125,17 +125,14 @@ def _print_maxprod(report: MaxProdReport) -> None:
 
 
 def _run_maxprod(args: argparse.Namespace) -> int:
-    if args.closed_form is not None:
-        elements = tuple(int(tok) for tok in args.closed_form.split(","))
-        head = SupportHead(elements, args.tail_min)
-        report = closed_form_max(head, args.n)
+    E = exceptions_from_spec(args.exceptions)
+    if args.closed_form:
+        report = closed_form_max(E, args.n)
         if report is None:
-            print("no closed form covers this support head")
+            print("no closed form covers this exception set")
             return EXIT_OK
     else:
-        if args.tail_min is not None:
-            raise ValueError("--tail-min only applies together with --closed-form")
-        report = max_product(exceptions_from_spec(args.exceptions), args.n)
+        report = max_product(E, args.n)
     if args.format == "json":
         print(json.dumps(_jsonable(report)))
     else:
@@ -241,14 +238,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_run_delta)
 
     p = sub.add_parser("maxprod", help="maximal part product with all maximizers")
-    p.add_argument("--exceptions", default="none", metavar="SPEC",
-                   help="excluded parts (ignored with --closed-form)")
+    p.add_argument("--exceptions", default="none", metavar="SPEC", help="excluded parts")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--closed-form", metavar="HEAD",
-                   help="use the closed-form case analysis for this comma-separated "
-                        "support head starting at 1, e.g. '1,3,4'")
-    p.add_argument("--tail-min", type=int,
-                   help="with --closed-form: every part >= this value is also allowed")
+    p.add_argument("--closed-form", action="store_true",
+                   help="use the closed-form case analysis on the smallest allowed parts")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(run=_run_maxprod)
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import factorial
 
-from .model import ExceptionSet, support_view
+from .model import ExceptionSet, member, next_allowed, support_view
 
 BRUTE_FORCE_BOUND = 30
 
@@ -220,43 +220,14 @@ def max_product_bruteforce(E: ExceptionSet, n: int) -> MaxProdReport:
     return max_product_bruteforce_all(E, n)[n]
 
 
-@dataclass(frozen=True)
-class SupportHead:
-    """Ordered small elements of S plus an optional full tail.
-
-    elements lists members of S in increasing order starting at 1;
-    tail_from, when given, adds every integer >= tail_from to S.
-    """
-
-    elements: tuple[int, ...]
-    tail_from: int | None = None
-
-    def __post_init__(self) -> None:
-        if not self.elements or self.elements[0] != 1:
-            raise ValueError("support head must start at 1")
-        if any(b <= a for a, b in zip(self.elements, self.elements[1:])):
-            raise ValueError("support head must be strictly increasing")
-        if self.tail_from is not None and self.tail_from <= self.elements[-1]:
-            raise ValueError("tail must begin beyond the listed head")
-
-    def contains(self, m: int) -> bool:
-        return m in self.elements or (self.tail_from is not None and m >= self.tail_from)
-
-    def next_after(self, m: int) -> int | None:
-        candidates = [e for e in self.elements if e > m]
-        if self.tail_from is not None:
-            candidates.append(max(self.tail_from, m + 1))
-        return min(candidates) if candidates else None
-
-
 def _listed(n: int, parts_list: list[tuple[int, ...]]) -> MaxProdReport:
     """Closed-form report at n whose maximizers are exactly parts_list."""
     return _assemble(n, PartitionMultiset.of(parts_list[0]).product, parts_list, None)
 
 
-def _closed_form_smallest_part_2(head: SupportHead, n: int) -> MaxProdReport | None:
+def _closed_form_smallest_part_2(E: ExceptionSet, n: int) -> MaxProdReport | None:
     """Case analysis when 2 is the smallest allowed part above 1."""
-    a3 = head.next_after(2)
+    a3 = next_allowed(E, 2)
     if a3 == 3:
         k, r = divmod(n, 3)
         if n == 1:
@@ -267,17 +238,17 @@ def _closed_form_smallest_part_2(head: SupportHead, n: int) -> MaxProdReport | N
             return _listed(n, [(3,) * k + (2,)])
         # n >= 4 and n == 1 mod 3: a 4 in S ties (4, 3^k) with (3^k, 2, 2)
         blocks = (3,) * ((n - 4) // 3)
-        if head.contains(4):
+        if not member(E, 4):
             return _listed(n, [blocks + (2, 2), (4,) + blocks])
         return _listed(n, [blocks + (2, 2)])
     if a3 == 4:
-        five = head.contains(5)
+        five = not member(E, 5)
         if five and n <= 3:
             return _listed(n, [(1,) if n == 1 else (2,) * (n // 2) + (1,) * (n % 2)])
         r = n % 4
         if r in (0, 2):
             # swap (2,2) <-> (4) freely: one chain of maximizers
-            chain = [(4,) * t + (2,) * ((n - 4 * t) // 2) for t in range(n // 4 + 1) if n - 4 * t >= 0 and (n - 4 * t) % 2 == 0]
+            chain = [(4,) * t + (2,) * ((n - 4 * t) // 2) for t in range(n // 4 + 1) if (n - 4 * t) % 2 == 0]
             return _listed(n, chain)
         if five:
             lead = n - 5
@@ -298,22 +269,23 @@ def _closed_form_smallest_part_2(head: SupportHead, n: int) -> MaxProdReport | N
     return _listed(n, [(2,) * (n // 2) + (1,) * (n % 2)])
 
 
-def closed_form_max(head: SupportHead, n: int) -> MaxProdReport | None:
-    """Closed-form maximal product when the head matches a known case.
+def closed_form_max(E: ExceptionSet, n: int) -> MaxProdReport | None:
+    """Closed-form maximal product when the smallest allowed parts match a known case.
 
-    Covered: smallest part 2 with its subcases keyed on the next
-    element; second element a2 >= 3 with the next at least 2*a2 (blocks
-    of a2 plus ones); and consecutive a2, a2+1 with a2 >= 3 once n
-    reaches a2(a2-1)(3a2-1)/2.  Returns None when no case applies.
+    Covered, with a2 the least allowed part above 1: a2 = 2 with its
+    subcases keyed on the next allowed part; a2 >= 3 with the next at
+    least 2*a2 (blocks of a2 plus ones); and consecutive a2, a2+1 with
+    a2 >= 3 once n reaches a2(a2-1)(3a2-1)/2.  Returns None when no case
+    applies.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    a2 = head.next_after(1)
+    a2 = next_allowed(E, 1)
     if a2 is None:
         return None
     if a2 == 2:
-        return _closed_form_smallest_part_2(head, n)
-    a3 = head.next_after(a2)
+        return _closed_form_smallest_part_2(E, n)
+    a3 = next_allowed(E, a2)
     if a3 is None or a3 >= 2 * a2:
         count, rem = divmod(n, a2)
         return _listed(n, [(a2,) * count + (1,) * rem])

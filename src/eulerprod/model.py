@@ -158,6 +158,21 @@ def support_view(E: ExceptionSet, horizon: int) -> tuple[int, ...]:
     return tuple(n for n in range(1, horizon + 1) if n not in excluded)
 
 
+def next_allowed(E: ExceptionSet, m: int) -> int | None:
+    """The least allowed part above m, or None past the last part of a finite support set.
+
+    Only a support family makes S finite; any other set allows infinitely
+    many parts, so the scan stops.
+    """
+    for fam in E.families:
+        if isinstance(fam, SupportComplement):
+            return next((k for k in sorted(fam.support) if k > m and not member(E, k)), None)
+    k = max(m, 0) + 1
+    while member(E, k):
+        k += 1
+    return k
+
+
 def sigma_E1(E: ExceptionSet, n: int) -> int:
     """Sum of the divisors of n that are allowed parts."""
     return sum(d for d in divisors(n) if not member(E, d))

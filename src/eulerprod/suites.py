@@ -19,7 +19,6 @@ from .harness import default_predictions, stabilization, sweep
 from .maxprod import (
     MaxProdReport,
     MaxProdTable,
-    SupportHead,
     closed_form_max,
     max_product_bruteforce_all,
 )
@@ -143,35 +142,18 @@ def _suite_maxprod() -> SuiteReport:
                 "full reports (value, maximizers, coefficient, runner-up), battery, n <= 28"),))
 
 
-# closed-form configurations: exception spec paired with the matching head
-_SMALLEST_PART_2 = (
-    ("4", SupportHead((1, 2, 3), 5)),
-    ("none", SupportHead((1, 2, 3, 4), 5)),
-    ("3,5", SupportHead((1, 2, 4), 6)),
-    ("3", SupportHead((1, 2, 4, 5), 6)),
-    ("3,4", SupportHead((1, 2, 5), 6)),
-    ("3,4,5", SupportHead((1, 2), 6)),
-    ("support:1,2", SupportHead((1, 2))),
-)
+# closed-form configurations by exception spec
+_SMALLEST_PART_2 = ("4", "none", "3,5", "3", "3,4", "3,4,5", "support:1,2")
+_ISOLATED_BLOCKS = ("2,4,5", "2,4,5,6", "2,3,5,6,7", "2,3,5,6,7,8", "2,3,4,6,7,8,9",
+                    "2,3,4,6,7,8,9,10", "support:1,3", "support:1,4")
 
-_ISOLATED_BLOCKS = (
-    ("2,4,5", SupportHead((1, 3), 6)),
-    ("2,4,5,6", SupportHead((1, 3), 7)),
-    ("2,3,5,6,7", SupportHead((1, 4), 8)),
-    ("2,3,5,6,7,8", SupportHead((1, 4), 9)),
-    ("2,3,4,6,7,8,9", SupportHead((1, 5), 10)),
-    ("2,3,4,6,7,8,9,10", SupportHead((1, 5), 11)),
-    ("support:1,3", SupportHead((1, 3))),
-    ("support:1,4", SupportHead((1, 4))),
-)
-
-# (spec, head, validity threshold a2(a2-1)(3a2-1)/2, a2)
+# (spec, validity threshold a2(a2-1)(3a2-1)/2, a2)
 _CONSECUTIVE_PAIRS = (
-    ("2", SupportHead((1, 3, 4), 5), 24, 3),
-    ("2,5,6,7", SupportHead((1, 3, 4), 8), 24, 3),
-    ("support:1,3,4", SupportHead((1, 3, 4)), 24, 3),
-    ("2,3", SupportHead((1, 4, 5), 6), 66, 4),
-    ("2,3,4", SupportHead((1, 5, 6), 7), 140, 5),
+    ("2", 24, 3),
+    ("2,5,6,7", 24, 3),
+    ("support:1,3,4", 24, 3),
+    ("2,3", 66, 4),
+    ("2,3,4", 140, 5),
 )
 
 
@@ -182,33 +164,27 @@ def _closed_form_agrees(cf: MaxProdReport | None, dp: MaxProdReport) -> bool:
             and cf.coefficient == dp.coefficient)
 
 
+def _closed_form_failures(espec: str, lo: int, hi: int) -> list[str]:
+    """Targets lo..hi where closed_form_max on espec disagrees with the table."""
+    E = exceptions_from_spec(espec)
+    table = MaxProdTable(E, hi)
+    return [f"E={{{espec}}} n={n}" for n in range(lo, hi + 1)
+            if not _closed_form_agrees(closed_form_max(E, n), table.report(n))]
+
+
 def _suite_lemmas() -> SuiteReport:
     checks: list[CheckResult] = []
 
-    failures: list[str] = []
-    for espec, head in _SMALLEST_PART_2:
-        table = MaxProdTable(exceptions_from_spec(espec), 60)
-        for n in range(1, 61):
-            if not _closed_form_agrees(closed_form_max(head, n), table.report(n)):
-                failures.append(f"E={{{espec}}} n={n}")
+    failures = [f for espec in _SMALLEST_PART_2 for f in _closed_form_failures(espec, 1, 60)]
     checks.append(_result("smallest-part-two-cases", failures,
                           "seven heads with second element 2, n <= 60"))
 
-    failures = []
-    for espec, head in _ISOLATED_BLOCKS:
-        table = MaxProdTable(exceptions_from_spec(espec), 60)
-        for n in range(1, 61):
-            if not _closed_form_agrees(closed_form_max(head, n), table.report(n)):
-                failures.append(f"E={{{espec}}} n={n}")
+    failures = [f for espec in _ISOLATED_BLOCKS for f in _closed_form_failures(espec, 1, 60)]
     checks.append(_result("isolated-block-form", failures,
                           "blocks of a2 plus ones when the next element is >= 2 a2, n <= 60"))
 
-    failures = []
-    for espec, head, threshold, a2 in _CONSECUTIVE_PAIRS:
-        table = MaxProdTable(exceptions_from_spec(espec), threshold + 3 * a2)
-        for n in range(threshold, threshold + 3 * a2 + 1):
-            if not _closed_form_agrees(closed_form_max(head, n), table.report(n)):
-                failures.append(f"E={{{espec}}} n={n}")
+    failures = [f for espec, threshold, a2 in _CONSECUTIVE_PAIRS
+                for f in _closed_form_failures(espec, threshold, threshold + 3 * a2)]
     checks.append(_result("consecutive-pair-form", failures,
                           "a2, a2+1 mix beyond the validity threshold, a2 in 3..5"))
 

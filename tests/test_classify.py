@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from eulerprod import (
     CONDITIONAL,
@@ -20,6 +21,8 @@ from eulerprod import (
     theorem_table,
     weight_from_spec,
 )
+from eulerprod.classify import MECH_TABLE, _basic
+from test_maxprod import exception_specs
 
 E0 = exceptions_from_spec("none")
 E4 = exceptions_from_spec("4")
@@ -178,9 +181,27 @@ class TestTheoremTable:
     def test_open_cases(self, espec, n):
         assert theorem_table(exceptions_from_spec(espec), n).verdict == UNKNOWN
 
+    def test_parts_above_n_plus_1_are_not_read(self):
+        # with 2 and 3 excluded the pair 4, 5 lies beyond n = 2, so no case applies yet
+        E23 = exceptions_from_spec("2,3")
+        assert theorem_table(E23, 2).detail == {"note": "configuration not covered by the table"}
+        assert "below the stated range" in theorem_table(E23, 3).detail["note"]
+
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             theorem_table(E0, 0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(exception_specs())
+    def test_decided_rows_agree_with_the_quotient(self, espec):
+        # wherever Q(n) != 1 decides the column, a table verdict must be the same one
+        E = exceptions_from_spec(espec)
+        table = MaxProdTable(E, 61)
+        for n in range(1, 61):
+            stated, basic = theorem_table(E, n), _basic(table, n)
+            if (stated.mechanism == MECH_TABLE and stated.verdict in (EVENTUALLY_CONCAVE, EVENTUALLY_CONVEX)
+                    and basic.verdict != UNKNOWN):
+                assert stated.verdict == basic.verdict, (espec, n, stated, basic.detail["q"])
 
 
 class TestPipeline:

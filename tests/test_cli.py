@@ -80,21 +80,27 @@ class TestMaxprod:
         ]
 
     def test_closed_form_json(self, capsys):
-        code, out, _ = run(capsys, "maxprod", "--closed-form", "1,3,4",
-                           "--tail-min", "5", "--n", "25", "--format", "json")
+        code, out, _ = run(capsys, "maxprod", "--exceptions", "2", "--closed-form",
+                           "--n", "25", "--format", "json")
         assert code == 0
         payload = json.loads(out)
         assert payload["product"] == 8748
         assert payload["maximizers"] == [{"parts": [4, 3, 3, 3, 3, 3, 3, 3]}]
         assert payload["second_product"] is None
 
+    def test_closed_form_reads_the_exception_set(self, capsys):
+        _, closed, _ = run(capsys, "maxprod", "--exceptions", "2", "--closed-form", "--n", "25")
+        _, table, _ = run(capsys, "maxprod", "--exceptions", "2", "--n", "25")
+        assert closed.splitlines()[:5] == table.splitlines()[:5]
+
     def test_closed_form_no_case(self, capsys):
-        code, out, _ = run(capsys, "maxprod", "--closed-form", "1,3,5", "--n", "12")
+        code, out, _ = run(capsys, "maxprod", "--exceptions", "support:1,3,5", "--closed-form", "--n", "12")
         assert code == 0 and "no closed form" in out
 
-    def test_tail_min_requires_closed_form(self, capsys):
-        code, _, err = run(capsys, "maxprod", "--n", "8", "--tail-min", "5")
-        assert code == 2 and "error:" in err
+    def test_tail_min_is_no_option(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["maxprod", "--n", "8", "--tail-min", "5"])
+        assert info.value.code == 2 and "error:" in capsys.readouterr().err
 
 
 class TestClassify:

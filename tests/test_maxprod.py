@@ -10,7 +10,6 @@ from eulerprod import (
     MaxProdReport,
     MaxProdTable,
     PartitionMultiset,
-    SupportHead,
     closed_form_max,
     exceptions_from_spec,
     max_product,
@@ -228,91 +227,60 @@ class TestBruteForce:
         assert walk[0].second_product is None
 
 
-class TestSupportHead:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SupportHead((2, 3))
-        with pytest.raises(ValueError):
-            SupportHead((1, 3, 3))
-        with pytest.raises(ValueError):
-            SupportHead((1, 3, 4), 4)
-
-    def test_membership_and_successor(self):
-        head = SupportHead((1, 2, 5), 7)
-        assert head.contains(5) and head.contains(9) and not head.contains(4)
-        assert head.next_after(1) == 2
-        assert head.next_after(2) == 5
-        assert head.next_after(5) == 7
-        assert head.next_after(8) == 9
-        finite = SupportHead((1, 3))
-        assert finite.next_after(3) is None
-
-
 class TestClosedForms:
     def test_three_blocks_without_four(self):
-        head = SupportHead((1, 2, 3), 5)
-        r = closed_form_max(head, 10)
+        r = closed_form_max(exceptions_from_spec("4"), 10)
         assert r.product == 36 and parts_of(r) == [(3, 3, 2, 2)] and r.unique
 
     def test_three_blocks_with_four_tie(self):
-        head = SupportHead((1, 2, 3, 4), 5)
-        r = closed_form_max(head, 7)
+        r = closed_form_max(exceptions_from_spec("none"), 7)
         assert r.product == 12 and parts_of(r) == [(3, 2, 2), (4, 3)]
 
     def test_four_chain_with_five(self):
-        head = SupportHead((1, 2, 4, 5), 6)
-        r = closed_form_max(head, 9)
+        r = closed_form_max(exceptions_from_spec("3"), 9)
         assert r.product == 20 and parts_of(r) == [(5, 2, 2), (5, 4)]
 
     def test_four_chain_without_five(self):
-        head = SupportHead((1, 2, 4), 6)
-        r = closed_form_max(head, 9)
+        r = closed_form_max(exceptions_from_spec("3,5"), 9)
         assert r.product == 16
         assert parts_of(r) == [(2, 2, 2, 2, 1), (4, 2, 2, 1), (4, 4, 1)]
 
     def test_five_over_two(self):
-        head = SupportHead((1, 2, 5), 6)
-        r = closed_form_max(head, 9)
+        r = closed_form_max(exceptions_from_spec("3,4"), 9)
         assert r.product == 20 and parts_of(r) == [(5, 2, 2)]
 
     def test_twos_only(self):
-        for head in (SupportHead((1, 2), 6), SupportHead((1, 2))):
-            r = closed_form_max(head, 9)
+        for spec in ("3,4,5", "support:1,2"):
+            r = closed_form_max(exceptions_from_spec(spec), 9)
             assert r.product == 16 and parts_of(r) == [(2, 2, 2, 2, 1)]
 
     def test_isolated_blocks(self):
-        r = closed_form_max(SupportHead((1, 3), 6), 8)
+        r = closed_form_max(exceptions_from_spec("2,4,5"), 8)
         assert r.product == 9 and parts_of(r) == [(3, 3, 1, 1)]
-        r = closed_form_max(SupportHead((1, 4)), 9)
+        r = closed_form_max(exceptions_from_spec("support:1,4"), 9)
         assert r.product == 16 and parts_of(r) == [(4, 4, 1)]
 
     def test_consecutive_pair_beyond_threshold(self):
-        head = SupportHead((1, 3, 4), 5)
-        assert closed_form_max(head, 23) is None
-        assert closed_form_max(head, 24).product == 6561
-        r = closed_form_max(head, 25)
+        E = exceptions_from_spec("2")
+        assert closed_form_max(E, 23) is None
+        assert closed_form_max(E, 24).product == 6561
+        r = closed_form_max(E, 25)
         assert r.product == 8748 and parts_of(r) == [(4, 3, 3, 3, 3, 3, 3, 3)]
-        assert closed_form_max(head, 26).product == 11664
+        assert closed_form_max(E, 26).product == 11664
 
     def test_uncovered_heads(self):
-        assert closed_form_max(SupportHead((1, 3, 5)), 12) is None
-        assert closed_form_max(SupportHead((1, 4, 6), 7), 12) is None
+        assert closed_form_max(exceptions_from_spec("support:1,3,5"), 12) is None
+        assert closed_form_max(exceptions_from_spec("2,3,5"), 12) is None
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            closed_form_max(SupportHead((1, 2)), 0)
+            closed_form_max(exceptions_from_spec("support:1,2"), 0)
 
     @settings(max_examples=100, deadline=None)
-    @given(kept=st.sets(st.integers(2, 12), max_size=5), tail=st.none() | st.integers(1, 8))
-    def test_any_closed_form_agrees_with_the_table(self, kept, tail):
-        elements = (1, *sorted(kept))
-        if tail is None:
-            head, spec = SupportHead(elements), "support:" + ",".join(map(str, elements))
-        else:
-            head = SupportHead(elements, elements[-1] + tail)
-            gaps = [m for m in range(2, head.tail_from) if m not in elements]
-            spec = ",".join(map(str, gaps)) or "none"
-        table = MaxProdTable(exceptions_from_spec(spec), 70)
+    @given(spec=exception_specs())
+    def test_any_closed_form_agrees_with_the_table(self, spec):
+        E = exceptions_from_spec(spec)
+        table = MaxProdTable(E, 70)
         for n in range(1, 71):
-            cf = closed_form_max(head, n)
+            cf = closed_form_max(E, n)
             assert cf is None or _closed_form_agrees(cf, table.report(n)), (spec, n)

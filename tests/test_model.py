@@ -16,11 +16,13 @@ from eulerprod import (
     exceptions_from_spec,
     largest_S_divisor,
     member,
+    next_allowed,
     sigma_E1,
     support_view,
     weight_from_spec,
 )
 from eulerprod.model import MAX_WEIGHT_BITS, _linear_form
+from test_maxprod import exception_specs
 
 
 @pytest.mark.parametrize("n,expected", [
@@ -94,6 +96,52 @@ def test_family_validation():
 
 def test_support_view_lists_complement():
     assert support_view(exceptions_from_spec("2,4"), 8) == (1, 3, 5, 6, 7, 8)
+
+
+class TestNextAllowed:
+    def test_membership_and_successor(self):
+        E = exceptions_from_spec("3,4,6")
+        assert not member(E, 5) and not member(E, 9) and member(E, 4)
+        assert next_allowed(E, 1) == 2
+        assert next_allowed(E, 2) == 5
+        assert next_allowed(E, 5) == 7
+        assert next_allowed(E, 8) == 9
+
+    def test_none_past_the_last_support_part(self):
+        E = exceptions_from_spec("support:1,3,7")
+        assert [next_allowed(E, m) for m in (-5, 0, 1, 3, 6)] == [1, 1, 3, 7, 7]
+        assert next_allowed(E, 7) is None and next_allowed(E, 100) is None
+        assert next_allowed(exceptions_from_spec("support:1"), 1) is None
+        # an atom on top of a support set, which only the constructor can build, is still skipped
+        E = ExceptionSet(frozenset({3}), (SupportComplement(frozenset({1, 3, 5})),))
+        assert next_allowed(E, 1) == 5
+
+    @pytest.mark.parametrize("espec,m,expected", [
+        ("powers:2", 1, 3),
+        ("powers:2", 7, 9),
+        ("powers:3", 8, 10),
+        ("multiples:2", 3, 5),
+        ("multiples:3", 2, 4),
+        ("3 + powers:2", 1, 5),
+        ("3 + powers:2", 7, 9),
+        ("multiples:2 + multiples:3", 1, 5),
+        ("multiples:2 + multiples:3", 7, 11),
+        ("none", 41, 42),
+    ])
+    def test_families_and_unions(self, espec, m, expected):
+        assert next_allowed(exceptions_from_spec(espec), m) == expected
+
+    @given(exception_specs(), st.integers(1, 80), st.data())
+    def test_agrees_with_support_view(self, espec, horizon, data):
+        E = exceptions_from_spec(espec)
+        view = support_view(E, horizon)
+        m = data.draw(st.integers(0, horizon - 1))
+        expected = next((k for k in view if k > m), None)
+        got = next_allowed(E, m)
+        if expected is None:
+            assert got is None or got > horizon
+        else:
+            assert got == expected
 
 
 @pytest.mark.parametrize("espec,n,expected", [

@@ -1,4 +1,5 @@
 import json
+import tempfile
 from math import comb
 
 import pytest
@@ -30,6 +31,34 @@ PRESETS = ("power", "example1", "example2")
 # every rung of the ladder, and a width far below any of them: no proof step may rely on the width
 WIDTHS = (4, *LADDER_BITS)
 
+# drawn weight files live here until the test session ends
+_WEIGHT_DIR = tempfile.TemporaryDirectory(prefix="weights-")
+
+
+@st.composite
+def _override_formulas(draw):
+    """a*ell + b + c*alt with a >= 0 and a + b >= |c|, so the exponent is >= 0 for every ell >= 1."""
+    a, c = draw(st.integers(0, 2)), draw(st.integers(-1, 1))
+    b = draw(st.integers(abs(c) - a, 3))
+    terms = ["+ell"] * a + [("+alt", "-alt")[c < 0]] * abs(c) + [f"{b:+d}"]
+    return draw(st.sampled_from(["", " "])).join(draw(st.permutations(terms)))
+
+
+@st.composite
+def weight_files(draw):
+    """custom:<path> specs of whole weight files: base, phi <= psi, B >= 0 and non-negative overrides."""
+    phi, gap = draw(st.integers(-2, 2)), draw(st.integers(0, 3))
+    schema = {"base": draw(st.integers(-1, 2)), "phi": phi, "psi": phi + gap, "B": gap}
+    overrides = draw(st.dictionaries(st.integers(2, 12).map(str), _override_formulas(), max_size=3))
+    if overrides or draw(st.booleans()):
+        schema["overrides"] = overrides
+    with tempfile.NamedTemporaryFile("w", suffix=".json", dir=_WEIGHT_DIR.name, delete=False) as handle:
+        json.dump(schema, handle)
+    return f"custom:{handle.name}"
+
+
+WEIGHT_SPECS = st.one_of(st.sampled_from(PRESETS), weight_files())
+
 
 def test_unit_weights_give_partition_numbers():
     t = coeffs_by_recurrence(exceptions_from_spec("none"), POWER, 1, 10)
@@ -51,7 +80,7 @@ def test_product_path_matches_recurrence():
 
 
 @settings(max_examples=40, deadline=None)
-@given(exception_specs(), st.sampled_from(PRESETS), st.integers(1, 6), st.integers(0, 30))
+@given(exception_specs(), WEIGHT_SPECS, st.integers(1, 6), st.integers(0, 30))
 def test_product_path_matches_recurrence_over_the_grammar(espec, wspec, ell, N):
     E, w = exceptions_from_spec(espec), weight_from_spec(wspec)
     assert coeffs_by_recurrence(E, w, ell, N).coeffs == coeffs_by_product(E, w, ell, N).coeffs
@@ -218,7 +247,7 @@ class TestBoundedSigns:
             assert row is None or row == exact, bits
 
     @settings(max_examples=60, deadline=None)
-    @given(exception_specs(), st.sampled_from(PRESETS), st.integers(1, 80), st.integers(1, 60))
+    @given(exception_specs(), WEIGHT_SPECS, st.integers(1, 80), st.integers(1, 60))
     # the last exact and the first bounded row of the 51-wide 2,4/power sweep
     @example(espec="2,4", wspec="power", ell=41, n_max=50)
     @example(espec="2,4", wspec="power", ell=42, n_max=50)
