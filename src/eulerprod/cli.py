@@ -164,9 +164,9 @@ def _run_sweep(args: argparse.Namespace) -> int:
             if args.stats is not None:
                 stats = stack.enter_context(open(args.stats, "w", encoding="utf-8"))
 
-                def on_row(ell: int, bits: int | None, seconds: float) -> None:
-                    path = "exact" if bits is None else "bounded"
-                    stats.write(json.dumps({"ell": ell, "path": path, "bits": bits,
+                def on_row(ell: int, bits: int | None, n_computed: int, seconds: float) -> None:
+                    path = "certified" if not n_computed else "exact" if bits is None else "bounded"
+                    stats.write(json.dumps({"ell": ell, "path": path, "bits": bits, "n_computed": n_computed,
                                             "seconds": round(seconds, 6)}) + "\n")
 
             grid = sweep(E, w, args.n_max, args.ell_max, jobs=args.jobs,
@@ -264,8 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget-seconds", type=float)
     p.add_argument("--stats", metavar="PATH",
                    help="write one JSON line per row to PATH: ell, the path that decided "
-                        "it (bounded or exact), the interval width in bits that did (null "
-                        "for exact) and its seconds")
+                        "it (bounded, exact, or certified when every cell was already "
+                        "certified), the interval width in bits that did (null otherwise), "
+                        "n_computed, the number of columns the row computed, and its seconds")
     p.set_defaults(run=_run_sweep)
 
     p = sub.add_parser("verify", help="run a named verification suite")

@@ -1,9 +1,11 @@
 """Sign grids over (n, ell), stabilization thresholds, file emission.
 
 A sweep computes sign(p(n)^2 - p(n-1) p(n+1)) for every cell of an
-(n, ell) rectangle, one row per ell, each by qseries.row_signs: it
-picks the row's route (certified interval bounds or the exact
-recurrence) and reports which one decided it.  Stabilization reduces each column to its
+(n, ell) rectangle, one row per ell.  Each row computes, by
+qseries.row_signs, only the prefix of columns that terminal.ColumnCertificates
+has not yet certified; row_signs picks the prefix's route (certified
+interval bounds or the exact recurrence) and reports which one decided
+it, and the certified signs fill the rest.  Stabilization reduces each column to its
 terminal sign and the least ell from which that sign persists, and
 compares against classifier predictions.
 """
@@ -15,6 +17,7 @@ import json
 import math
 import os
 import time
+from bisect import bisect_right
 from collections import deque
 from contextlib import closing
 from dataclasses import dataclass
@@ -31,6 +34,7 @@ from .classify import (
 )
 from .model import ExceptionSet, WeightFamily
 from .qseries import row_signs
+from .terminal import ROW_LAG, ColumnCertificates
 
 
 @dataclass(frozen=True)
@@ -86,12 +90,20 @@ class BudgetExceeded(RuntimeError):
         self.partial = partial
 
 
-def _sign_row(task: tuple[ExceptionSet, WeightFamily, int, int]) -> tuple[int, tuple[int, ...], int | None, float]:
-    """One grid row: (ell, signs, the interval width that decided them or None for exact, seconds taken)."""
-    E, w, ell, n_max = task
+def _sign_row(task: tuple[ExceptionSet, WeightFamily, int, int]
+              ) -> tuple[int, tuple[int, ...], int | None, tuple[tuple[int, int], ...], float]:
+    """The first n_hi cells of one grid row: (ell, signs, the interval width that decided them
+    or None for exact, upper bounds (hi, e) on p(0..n_hi + 1), seconds taken); nothing for n_hi = 0."""
+    E, w, ell, n_hi = task
     start = time.perf_counter()
-    bits, row = row_signs(E, w, ell, n_max)
-    return ell, row, bits, time.perf_counter() - start
+    bits, row, bounds = row_signs(E, w, ell, n_hi) if n_hi else (None, (), ())
+    return ell, row, bits, bounds, time.perf_counter() - start
+
+
+def _check_weights(w: WeightFamily, parts: tuple[int, ...], ell: int) -> None:
+    """Raise the ValueError g_table would at the first of parts (ascending, all >= 2) whose weight at ell is invalid."""
+    for m in parts:
+        w.exponent(ell, m)
 
 
 def _worker_count(jobs: int, ell_max: int) -> int:
@@ -106,12 +118,13 @@ def _worker_count(jobs: int, ell_max: int) -> int:
 
 
 def _rows(tasks: Iterator[tuple[ExceptionSet, WeightFamily, int, int]],
-          workers: int) -> Iterator[tuple[int, tuple[int, ...], int | None, float]]:
+          workers: int) -> Iterator[tuple[int, tuple[int, ...], int | None, tuple[tuple[int, int], ...], float]]:
     """_sign_row over tasks, in order: in this process, or on a pool of workers.
 
-    The pool keeps at most 2 rows per worker in flight, refilled in ell
-    order.  However the stream ends (exhausted, closed early, or a row
-    raising), the pool drops the rows not yet started and joins its workers.
+    The pool keeps at most 2 rows per worker, and no more than ROW_LAG, in
+    flight, refilled in ell order.  However the stream ends (exhausted,
+    closed early, or a row raising), the pool drops the rows not yet
+    started and joins its workers.
     """
     if workers == 1:
         yield from map(_sign_row, tasks)
@@ -121,7 +134,7 @@ def _rows(tasks: Iterator[tuple[ExceptionSet, WeightFamily, int, int]],
 
     pool = ProcessPoolExecutor(max_workers=workers)
     try:
-        pending = deque(pool.submit(_sign_row, task) for task in islice(tasks, 2 * workers))
+        pending = deque(pool.submit(_sign_row, task) for task in islice(tasks, min(2 * workers, ROW_LAG)))
         while pending:
             yield pending.popleft().result()
             pending.extend(pool.submit(_sign_row, task) for task in islice(tasks, 1))
@@ -131,15 +144,19 @@ def _rows(tasks: Iterator[tuple[ExceptionSet, WeightFamily, int, int]],
 
 def sweep(E: ExceptionSet, w: WeightFamily, n_max: int, ell_max: int,
           jobs: int = 1, budget_seconds: float | None = None,
-          on_row: Callable[[int, int | None, float], None] | None = None) -> SignGrid:
+          on_row: Callable[[int, int | None, int, float], None] | None = None) -> SignGrid:
     """Exact sign grid for n in 1..n_max, ell in 1..ell_max.
 
-    Each row comes from row_signs: certified on intervals when the row is
-    large enough to gain from it, and computed by the exact recurrence
-    otherwise or when a cell stays undecided.  on_row, if given, is called in ell order with
-    (ell, the interval width that decided the row or None for the exact
-    recurrence, seconds the row took).  Once the budget has passed, the
-    sweep stops after the current row with BudgetExceeded.
+    Row ell computes the columns up to the largest one that no certificate
+    proven at a row <= ell - ROW_LAG covers, by row_signs: certified on
+    intervals when that prefix is large enough to gain from it, and by the
+    exact recurrence otherwise or when a cell stays undecided.  Certified
+    signs fill the other cells, and the weights of every part are checked
+    on every row as a full row would.  on_row, if given, is called in ell
+    order with (ell, the interval width that decided the row or None for
+    the exact recurrence, the number of columns computed, seconds the row
+    took).  Once the budget has passed, the sweep stops after the current
+    row with BudgetExceeded.
     """
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
@@ -149,13 +166,26 @@ def sweep(E: ExceptionSet, w: WeightFamily, n_max: int, ell_max: int,
         raise ValueError(f"budget_seconds must be finite and >= 0, got {budget_seconds}")
     workers = _worker_count(jobs, ell_max)
     start = time.monotonic()
+    columns = ColumnCertificates(E, w, n_max)
     rows: list[tuple[int, ...]] = []
-    tasks = ((E, w, ell, n_max) for ell in range(1, ell_max + 1))
+    # an exponent is linear in ell on each parity, so a weight valid at two rows of one parity is
+    # valid at every row of that parity between them: once rows 1 and 2 pass in full, every
+    # row passes if the top two do
+    try:
+        for ell in range(max(ell_max - 1, 1), ell_max + 1):
+            _check_weights(w, columns.parts[1:], ell)
+        every_row_valid = True
+    except ValueError:
+        every_row_valid = False
+    tasks = ((E, w, ell, columns.width(ell)) for ell in range(1, ell_max + 1))
     with closing(_rows(tasks, workers)) as stream:
-        for ell, row, bits, seconds in stream:
-            rows.append(row)
+        for ell, prefix, bits, bounds, seconds in stream:
+            if ell <= 2 or not every_row_valid:
+                # the prefix read the weights of the parts up to len(prefix) + 1; check the rest
+                _check_weights(w, columns.parts[bisect_right(columns.parts, len(prefix) + 1):], ell)
+            rows.append(columns.record(ell, prefix, bounds))
             if on_row is not None:
-                on_row(ell, bits, seconds)
+                on_row(ell, bits, len(prefix), seconds)
             if (budget_seconds is not None and len(rows) < ell_max
                     and time.monotonic() - start > budget_seconds):
                 raise BudgetExceeded(

@@ -249,12 +249,17 @@ class WeightFamily:
     psi_offset: int
     envelope_gap: int
 
-    def exponent(self, ell: int, n: int) -> int:
-        """The e with f_ell(n) = n^e for n >= 2; ValueError if e < 0 or n^e may exceed MAX_WEIGHT_BITS bits."""
-        exponent = ell + self.base
+    def linear_form(self, n: int) -> tuple[int, int, int]:
+        """(a, b, c) with exponent(ell, n) = a*ell + b + c*(-1)^ell for n >= 2."""
         for m, a, b, c in self.overrides:
             if m == n:
-                exponent = a * ell + b + (-c if ell % 2 else c)
+                return a, b, c
+        return 1, self.base, 0
+
+    def exponent(self, ell: int, n: int) -> int:
+        """The e with f_ell(n) = n^e for n >= 2; ValueError if e < 0 or n^e may exceed MAX_WEIGHT_BITS bits."""
+        a, b, c = self.linear_form(n)
+        exponent = a * ell + b + (-c if ell % 2 else c)
         if exponent < 0:
             raise ValueError(f"negative exponent {exponent} for f_{ell}({n}); weights must be positive integers")
         if exponent * n.bit_length() > MAX_WEIGHT_BITS:

@@ -216,14 +216,15 @@ def _bounded_coeffs(g: Sequence[int], bits: int) -> Iterator[tuple[int, int, int
         yield lo, hi, top + s
 
 
-def _rung_signs(g: Sequence[int], bits: int) -> tuple[int, ...] | None:
-    """Certified signs of p(n)^2 - p(n-1) p(n+1) for n = 1..N-1 from bits-wide intervals, or None.
+def _rung_signs(g: Sequence[int], bits: int) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]] | None:
+    """(signs, bounds) from bits-wide intervals, or None: the certified signs of p(n)^2 - p(n-1) p(n+1)
+    for n = 1..N-1, and (hi, e) with p(n) <= hi * 2^e for n = 0..N.
 
     g is as for _bounded_coeffs.  A cell is +1 when lo(p_n)^2 > hi(p_n-1) hi(p_n+1), -1 when
     hi(p_n)^2 < lo(p_n-1) lo(p_n+1), and 0 only when all three values are
     exact and the two sides equal.  The first undecided cell ends the run.
     """
-    signs = []
+    signs, bounds = [], []
     a = b = None
     for c in _bounded_coeffs(g, bits):
         if a is not None:
@@ -231,29 +232,37 @@ def _rung_signs(g: Sequence[int], bits: int) -> tuple[int, ...] | None:
             if sign is None:
                 return None
             signs.append(sign)
+        bounds.append(c[1:])
         a, b = b, c
-    return tuple(signs)
+    return tuple(signs), tuple(bounds)
 
 
-def row_signs(E: ExceptionSet, w: WeightFamily, ell: int, n_max: int) -> tuple[int | None, tuple[int, ...]]:
-    """(bits, signs): the signs of p(n)^2 - p(n-1) p(n+1) for n = 1..n_max, all exact.
+def row_signs(E: ExceptionSet, w: WeightFamily, ell: int,
+              n_max: int) -> tuple[int | None, tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """(bits, signs, bounds): the signs of p(n)^2 - p(n-1) p(n+1) for n = 1..n_max, all exact,
+    and (hi, e) with p(n) <= hi * 2^e for n = 0..n_max + 1.
 
     g(1..n_max + 1) is tabulated once.  When the row's size, N = n_max + 1
     times the bit length of its largest g(k), is at least BOUNDED_MIN_SIZE,
     the row runs on intervals of each width of LADDER_BITS in turn until one
-    certifies every cell; bits is that width.  A smaller row, or one no width
-    decides, takes the exact recurrence on the same g, and bits is None.
+    certifies every cell; bits is that width, and the bounds are its
+    intervals' upper ends.  A smaller row, or one no width decides, takes
+    the exact recurrence on the same g; bits is None, and each bound is the
+    exact value rounded up to LADDER_BITS[0] bits.  The sign at n depends
+    only on p(n-1..n+1), so the signs of a narrower row are a prefix of
+    those of a wider one on either route.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     g = g_table(E, w, ell, n_max + 1).values
     if (n_max + 1) * max(g).bit_length() >= BOUNDED_MIN_SIZE:
         for bits in LADDER_BITS:
-            signs = _rung_signs(g, bits)
-            if signs is not None:
-                return bits, signs
+            row = _rung_signs(g, bits)
+            if row is not None:
+                return bits, *row
     p = _recurrence(g)
-    return None, tuple((d > 0) - (d < 0) for d in (b * b - a * c for a, b, c in zip(p, p[1:], p[2:])))
+    signs = tuple((d > 0) - (d < 0) for d in (b * b - a * c for a, b, c in zip(p, p[1:], p[2:])))
+    return None, signs, tuple(_interval(x, LADDER_BITS[0])[1:] for x in p)
 
 
 def coeffs_by_product(E: ExceptionSet, w: WeightFamily, ell: int, N: int) -> PartitionTable:

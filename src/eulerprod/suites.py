@@ -305,8 +305,11 @@ def _suite_figure1(n_max: int = 50, ell_max: int = 300, jobs: int = 1) -> SuiteR
 
     The defaults reproduce the published 50 x 300 grid.  A reduced
     ell_max runs faster but leaves the slow columns unsettled, which
-    the checks then report as failures rather than papering over.
+    the checks then report as failures rather than papering over.  The
+    checks read the columns 4..n_max, so n_max must be at least 4.
     """
+    if n_max < 4:
+        raise ValueError(f"figure1 checks the columns 4..n_max, so n_max must be >= 4, got {n_max}")
     E = exceptions_from_spec("2,4")
     grid = sweep(E, weight_from_spec("power"), n_max, ell_max, jobs=jobs)
     rows = [r for r in stabilization(grid, default_predictions(grid)) if r.n >= 4]

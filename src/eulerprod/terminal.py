@@ -1,0 +1,194 @@
+"""Certified terminal signs of sweep columns.
+
+A column n of a sign grid is certified for one parity of ell once its
+sign is proven for every larger ell of that parity.  Two arguments give
+certificates.
+
+Sparse support, for any weights: p'(n) = p(n) - p(n-1) counts the
+weighted partitions of n with no part 1, so it is 0 exactly when n is
+not a sum of allowed parts >= 2, and
+Delta(n) = p(n) (p'(n) - p'(n+1)) + p'(n) p'(n+1).  When p'(n) or
+p'(n+1) is 0 the sign is rep(n) - rep(n+1) at every ell, with rep(k)
+whether k is such a sum.
+
+Top terms, when every allowed part m >= 2 has exponent ell + c_m
+(c_m fixed for each parity of ell): expanding each factor with
+C(f+k-1, k) = sum_i c(k, i) f^i / k!, c the unsigned Stirling numbers,
+gives p_ell(n) = sum_B c_B B^ell with every c_B >= 0 and ell-free for
+one parity.  The top base is M(n), the largest part product over the
+partitions of n, and its coefficient is the sum over the maximizers of
+prod_{m >= 2} m^(c_m k_m) / k_m!.  Let T = max(M(n)^2, M(n-1) M(n+1)) be
+the top base of Delta(n), a and b the T-parts of p(n)^2 and
+p(n-1) p(n+1).  If a != b and, at some row ell1,
+2 max(a, b) > p(n)^2 + p(n-1) p(n+1), then Delta(n) has the sign of
+a - b at ell1 and at every later ell of that parity: every other term
+has a base below T, so it grows by at most T^(ell - ell1) while a - b
+grows by exactly that.
+"""
+
+from __future__ import annotations
+
+from math import factorial
+
+from .maxprod import MaxProdTable
+from .model import ExceptionSet, WeightFamily, support_view
+
+# row ell computes the columns that no certificate proven at a row <= ell - ROW_LAG covers, and
+# a pool keeps at most ROW_LAG rows in flight, so serial and pooled sweeps compute the same prefixes
+ROW_LAG = 8
+# mantissa width of the lower bounds on the top terms
+_BITS = 64
+
+
+def representable(E: ExceptionSet, N: int) -> list[bool]:
+    """rep[k] for k = 0..N: whether k is a sum of allowed parts >= 2 (0 is the empty sum)."""
+    parts = support_view(E, N)[1:] if N >= 1 else ()
+    rep = [True] + [False] * N
+    for k in range(2, N + 1):
+        rep[k] = any(rep[k - m] for m in parts if m <= k)
+    return rep
+
+
+def slope_one_offsets(w: WeightFamily, parts: tuple[int, ...]) -> tuple[dict[int, int], dict[int, int]] | None:
+    """(even, odd): c_m with exponent(ell, m) = ell + c_m for each part m >= 2, per parity of ell.
+
+    None when some part's exponent does not grow by exactly 1 per step of ell.
+    """
+    even, odd = {}, {}
+    for m in parts:
+        if m >= 2:
+            a, b, c = w.linear_form(m)
+            if a != 1:
+                return None
+            even[m], odd[m] = b + c, b - c
+    return even, odd
+
+
+def top_coefficients(table: MaxProdTable, weights: dict[int, int]) -> tuple[tuple[int, ...], int]:
+    """(X, F) with X[r] / F the sum over the maximizers of r of prod_{m >= 2} weights[m]^k_m / k_m!.
+
+    Every part of a maximizer is one of the table's leads, and a
+    sub-multiset of a maximizer is a maximizer of its own sum.  Let Y[r]
+    be the sum over the maximizers of r without a part 1.  Since
+    r = sum_s s k_s and k_s w^k_s / k_s! = w w^(k_s - 1) / (k_s - 1)!,
+    removing one part s >= 2 gives r Y[r] = sum s weights[s] Y[r - s] over
+    the leads s with best[r - s] s == best[r].  A maximizer of r with a
+    part 1 is a maximizer of r - 1 and a 1, where best[r - 1] == best[r],
+    and part 1 is a factor 1 at any multiplicity.  F = (N // 2)! clears
+    every denominator, since at most N / 2 parts are >= 2, so each
+    division by r is exact.
+    """
+    best = table.best
+    N = len(best) - 1
+    F = factorial(N // 2)
+    leads = [(s, s * weights.get(s, 1)) for s in table.leads if s >= 2]
+    X, Y = [F], [F]
+    for r in range(1, N + 1):
+        Y.append(sum(sw * Y[r - s] for s, sw in leads if s <= r and best[r - s] * s == best[r]) // r)
+        X.append(Y[r] + (X[r - 1] if best[r - 1] == best[r] else 0))
+    return tuple(X), F
+
+
+def _floor(m: int, e: int) -> tuple[int, int]:
+    """(m', e') with m' * 2^e' <= m * 2^e and m' < 2^_BITS."""
+    s = m.bit_length() - _BITS
+    return (m >> s, e + s) if s > 0 else (m, e)
+
+
+def _exceeds(a: int, ea: int, b: int, eb: int) -> bool:
+    """a * 2^ea > b * 2^eb for a, b >= 1."""
+    da, db = a.bit_length() + ea, b.bit_length() + eb
+    if da != db:
+        return da > db
+    return a << ea - eb > b if ea >= eb else a > b << eb - ea
+
+
+class ColumnCertificates:
+    """Certified signs of the columns 1..n_max of one sweep, per parity of ell.
+
+    Sparse-support certificates hold from row 1.  Top-term certificates
+    come from the rows record() is given, for weights whose every allowed
+    part up to n_max + 1 has exponent slope 1; the top coefficients are
+    built at the first such row.  A certificate proven at row ell1 leaves
+    its column out of the computed prefix from row ell1 + ROW_LAG on.
+    """
+
+    def __init__(self, E: ExceptionSet, w: WeightFamily, n_max: int) -> None:
+        self.E, self.n_max = E, n_max
+        self.parts = support_view(E, n_max + 1)
+        rep = representable(E, n_max + 1)
+        # proven[parity][n] = (first row whose prefix leaves n out, sign); parity = ell % 2
+        self.proven: tuple[dict[int, tuple[int, int]], ...] = ({}, {})
+        for n in range(1, n_max + 1):
+            if not (rep[n] and rep[n + 1]):
+                for proven in self.proven:
+                    proven[n] = (1, rep[n] - rep[n + 1])
+        self.offsets = slope_one_offsets(w, self.parts)
+        # tops[parity][n] = [sign, T, ell, lower bound m * 2^e of 2 max(a, b) at that ell]
+        self._tops: tuple[dict[int, list[int]], ...] | None = None
+
+    def width(self, ell: int) -> int:
+        """The largest column row ell must compute (0 if none)."""
+        proven = self.proven[ell % 2]
+        for n in range(self.n_max, 0, -1):
+            certified = proven.get(n)
+            if certified is None or certified[0] > ell:
+                return n
+        return 0
+
+    def _build_tops(self) -> tuple[dict[int, list[int]], ...]:
+        table = MaxProdTable(self.E, self.n_max + 1)
+        M = table.best
+        leads = [s for s in table.leads if s >= 2]
+        tops: tuple[dict[int, list[int]], ...] = ({}, {})
+        for offsets, parity_tops in zip(self.offsets, tops):
+            # weights m^(c_m + shift) with every exponent >= 0; the T-parts pick up T^-shift
+            shift = max([0] + [-offsets[s] for s in leads])
+            X, F = top_coefficients(table, {s: s ** (offsets[s] + shift) for s in leads})
+            for n in range(1, self.n_max + 1):
+                T = max(M[n] ** 2, M[n - 1] * M[n + 1])
+                a = X[n] ** 2 if M[n] ** 2 == T else 0
+                b = X[n - 1] * X[n + 1] if M[n - 1] * M[n + 1] == T else 0
+                if a == b:
+                    continue
+                # 2 max(a, b) / (F^2 T^shift) is the T^ell coefficient at every ell of this parity
+                num, den = 2 * max(a, b), F * F * T ** shift
+                q = _BITS + den.bit_length() - num.bit_length()
+                m = (num << q) // den if q >= 0 else num // (den << -q)
+                parity_tops[n] = [1 if a > b else -1, T, 0, m, -q]
+        return tops
+
+    def record(self, ell: int, prefix: tuple[int, ...], bounds: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
+        """The full row ell from its computed prefix of signs and the upper bounds (hi, e) on p(0..len(prefix) + 1).
+
+        Columns past the prefix take their certified signs.  Each column of
+        the prefix without a certificate for ell's parity is checked against
+        its top term; a computed sign that contradicts a certificate raises
+        ArithmeticError.
+        """
+        parity = ell % 2
+        proven = self.proven[parity]
+        n_hi = len(prefix)
+        if self.offsets is not None and n_hi:
+            if self._tops is None:
+                self._tops = self._build_tops()
+            tops = self._tops[parity]
+            for n in range(1, n_hi + 1):
+                top = tops.get(n)
+                if top is None or n in proven:
+                    continue
+                sign, T, j, m, e = top
+                m, e = _floor(m * T ** (ell - j), e)
+                top[2:] = ell, m, e
+                (u0, e0), (u1, e1), (u2, e2) = bounds[n - 1:n + 2]
+                base = min(2 * e1, e0 + e2)
+                rest = (u1 * u1 << 2 * e1 - base) + (u0 * u2 << e0 + e2 - base)
+                if _exceeds(m, e, rest, base):
+                    proven[n] = (ell + ROW_LAG, sign)
+        for n, sign in enumerate(prefix, 1):
+            certified = proven.get(n)
+            if certified is not None and certified[1] != sign:
+                raise ArithmeticError(
+                    f"column {n} is certified {certified[1]:+d} but computes {sign:+d} at ell={ell}: "
+                    "the certificate is proven, so this is a bug")
+        return prefix + tuple(proven[n][1] for n in range(n_hi + 1, self.n_max + 1))

@@ -5,9 +5,16 @@ from pathlib import Path
 
 import pytest
 
-from eulerprod import CheckResult, SuiteReport, parse_grid_csv, weight_from_spec
+from eulerprod import CheckResult, SuiteReport, exceptions_from_spec, parse_grid_csv, row_signs, weight_from_spec
 from eulerprod.cli import main
 from eulerprod.qseries import LADDER_BITS
+
+
+def steep_weights(tmp_path):
+    """A custom family whose exponent at 2 grows by 2 per step of ell: no top-term certificate covers it."""
+    path = tmp_path / "steep.json"
+    path.write_text(json.dumps({"base": -1, "phi": -1, "psi": 1, "B": 2, "overrides": {"2": "ell+ell-1"}}))
+    return f"custom:{path}"
 
 
 def run(capsys, *argv):
@@ -174,10 +181,10 @@ class TestSweep:
         assert outputs[0] == outputs[1]
         rows = [json.loads(line) for line in (tmp_path / "rows.jsonl").read_text().splitlines()]
         assert [row["ell"] for row in rows] == list(range(1, 71))
-        assert all(set(row) == {"ell", "path", "bits", "seconds"} for row in rows)
+        assert all(set(row) == {"ell", "path", "bits", "n_computed", "seconds"} for row in rows)
         assert {(row["path"], row["bits"]) for row in rows} == {("bounded", LADDER_BITS[0]), ("exact", None)}
 
-    def test_stats_show_sparse_support_exact(self, tmp_path, capsys):
+    def test_stats_show_sparse_support_certified(self, tmp_path, capsys):
         path = tmp_path / "rows.jsonl"
         code, _, _ = run(capsys, "sweep", "--exceptions", "support:1,3", "--n-max", "60",
                          "--ell-max", "170", "--jobs", "2", "--out", str(tmp_path / "grid.csv"),
@@ -185,19 +192,40 @@ class TestSweep:
         assert code == 0
         rows = [json.loads(line) for line in path.read_text().splitlines()]
         assert [row["ell"] for row in rows] == list(range(1, 171))
-        assert {(row["path"], row["bits"]) for row in rows} == {("exact", None)}
+        # with S = {1, 3}, one of n and n + 1 is never a sum of 3s, so every column is certified
+        # from the first row and no row computes a cell
+        assert {(row["path"], row["bits"], row["n_computed"]) for row in rows} == {("certified", None, 0)}
 
     def test_budget_exceeded(self, tmp_path, capsys):
         path = tmp_path / "partial.csv"
-        code, _, err = run(capsys, "sweep", "--n-max", "40", "--ell-max", "300",
+        code, _, err = run(capsys, "sweep", "--n-max", "40", "--ell-max", "300", "--weights", steep_weights(tmp_path),
                            "--budget-seconds", "0.01", "--out", str(path))
         assert code == 3 and "budget exceeded" in err
         assert path.exists()
 
-    def test_budget_exceeded_without_out(self, capsys):
-        code, _, err = run(capsys, "sweep", "--n-max", "40", "--ell-max", "300",
+    def test_budget_exceeded_without_out(self, tmp_path, capsys):
+        code, _, err = run(capsys, "sweep", "--n-max", "40", "--ell-max", "300", "--weights", steep_weights(tmp_path),
                            "--budget-seconds", "0.01")
         assert code == 3 and "budget exceeded" in err
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("override,bad_ell", [
+        pytest.param("ell+524283", 6, id="ceiling"),  # 3^(ell + 524283) passes 2^20 bits at ell = 6
+        pytest.param("10-ell", 11, id="negative"),
+    ])
+    def test_filled_rows_keep_weight_checks(self, tmp_path, capsys, jobs, override, bad_ell):
+        # S = {1, 3} certifies every column from the first row, so no row computes a weight
+        path = tmp_path / "weights.json"
+        path.write_text(json.dumps({"base": -1, "phi": -1, "psi": 0, "B": 1, "overrides": {"3": override}}))
+        spec, stats = f"custom:{path}", tmp_path / "rows.jsonl"
+        with pytest.raises(ValueError) as info:
+            row_signs(exceptions_from_spec("support:1,3"), weight_from_spec(spec), bad_ell, 30)
+        code, out, err = run(capsys, "sweep", "--exceptions", "support:1,3", "--weights", spec, "--n-max", "30",
+                             "--ell-max", "40", "--jobs", jobs, "--stats", str(stats), "--out", str(tmp_path / "g.csv"))
+        assert code == 2 and out == ""
+        assert err == f"error: {info.value}\n"
+        rows = [json.loads(line) for line in stats.read_text().splitlines()]
+        assert [(row["ell"], row["path"]) for row in rows] == [(ell, "certified") for ell in range(1, bad_ell)]
 
 
 class TestVerify:
@@ -227,6 +255,12 @@ class TestVerify:
         assert plain[2] == ""
         name, seconds = timed[2].split()
         assert name == suite and float(seconds) >= 0
+
+    @pytest.mark.parametrize("n_max", ["3", "1", "-5"])
+    def test_figure1_needs_a_column(self, capsys, n_max):
+        code, out, err = run(capsys, "verify", "figure1", "--n-max", n_max, "--ell-max", "10")
+        assert code == 2 and out == ""
+        assert err.startswith("error: figure1 checks the columns 4..n_max") and err.count("\n") == 1
 
     def test_grid_flags_rejected_elsewhere(self, capsys):
         code, _, err = run(capsys, "verify", "q-tables", "--ell-max", "10")

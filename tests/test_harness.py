@@ -17,6 +17,7 @@ from eulerprod import (
     BudgetExceeded,
     MaxProdTable,
     SignGrid,
+    WeightFamily,
     classify_pipeline,
     coeffs_by_recurrence,
     default_predictions,
@@ -24,6 +25,7 @@ from eulerprod import (
     emit_grid,
     exceptions_from_spec,
     parse_grid_csv,
+    row_signs,
     stabilization,
     sweep,
     weight_from_spec,
@@ -32,10 +34,14 @@ from eulerprod import harness
 from eulerprod.harness import _worker_count
 from eulerprod.qseries import LADDER_BITS
 from test_maxprod import exception_specs
+from test_qseries import WEIGHT_SPECS
 
 POWER = weight_from_spec("power")
 E24 = exceptions_from_spec("2,4")
 S13 = exceptions_from_spec("support:1,3")
+# the exponent at 2 grows by 2 per step of ell, so no top-term certificate covers it and a
+# sweep over E = none computes every row in full
+STEEP = WeightFamily("steep", -1, ((2, 2, -1, 0),), -1, 1, 2)
 
 
 def small_grid():
@@ -102,7 +108,7 @@ class TestSweep:
 
     def test_budget_raises_with_partial(self):
         with pytest.raises(BudgetExceeded) as info:
-            sweep(exceptions_from_spec("none"), POWER, 40, 300, budget_seconds=0.01)
+            sweep(exceptions_from_spec("none"), STEEP, 40, 300, budget_seconds=0.01)
         partial = info.value.partial
         assert partial.ell_range[0] == 1
         assert 1 <= partial.ell_range[1] < 300
@@ -140,7 +146,7 @@ class TestSweep:
             with monkeypatch.context() as patch, pytest.raises(BudgetExceeded) as info:
                 patch.setattr(harness, "time", clock)
                 sweep(E24, POWER, 30, 12, jobs=jobs, budget_seconds=1,
-                      on_row=lambda ell, bits, seconds: seen.append(ell))
+                      on_row=lambda ell, bits, n_computed, seconds: seen.append(ell))
             partial = info.value.partial
             assert partial.ell_range == (1, stop)
             assert partial.signs == full.signs[:stop]
@@ -171,7 +177,7 @@ class TestSweep:
     def test_on_row_reports_each_row_in_order(self, jobs):
         seen = []
         grid = sweep(E24, POWER, 50, 70, jobs=jobs,
-                     on_row=lambda ell, bits, seconds: seen.append((ell, bits, seconds)))
+                     on_row=lambda ell, bits, n_computed, seconds: seen.append((ell, bits, seconds)))
         assert [ell for ell, _, _ in seen] == list(range(1, 71))
         # rows 1..41 are below the route boundary; every bounded row is decided at the first rung
         assert [bits for _, bits, _ in seen] == [None] * 41 + [LADDER_BITS[0]] * 29
@@ -203,19 +209,25 @@ class TestSweep:
 
 
 class TestSharedPool:
-    @settings(max_examples=25, deadline=None)
-    @given(exception_specs(), st.sampled_from(("power", "example1", "example2")),
-           st.integers(2, 40), st.integers(1, 30))
-    # rows 42..70 of this one take the bounded route
-    @example(espec="2,4", wspec="power", n_max=50, ell_max=70)
+    @settings(max_examples=30, deadline=None)
+    @given(exception_specs(), WEIGHT_SPECS, st.integers(2, 40), st.integers(1, 60))
+    # rows 42..122 of this one take the bounded route, and every column is certified by row 116
+    @example(espec="2,4", wspec="power", n_max=50, ell_max=130)
+    # the tie column 8 stays open while the columns past it are certified
+    @example(espec="none", wspec="power", n_max=12, ell_max=60)
     def test_pooled_matches_serial_on_a_shared_pool(self, shared_pool, espec, wspec, n_max, ell_max):
+        # certified cells are filled, not computed: every row still equals the full row, and the
+        # pooled sweep computes the same prefix on the same route as the serial one
         E, w = exceptions_from_spec(espec), weight_from_spec(wspec)
+        full = tuple(row_signs(E, w, ell, n_max)[1] for ell in range(1, ell_max + 1))
         seen = []
         with mock.patch("concurrent.futures.ProcessPoolExecutor", lambda max_workers: BorrowedPool(shared_pool)):
-            pooled = sweep(E, w, n_max, ell_max, jobs=2, on_row=lambda ell, bits, seconds: seen.append(bits))
+            pooled = sweep(E, w, n_max, ell_max, jobs=2,
+                           on_row=lambda ell, bits, n_computed, seconds: seen.append((bits, n_computed)))
         serial = []
-        assert pooled.signs == sweep(E, w, n_max, ell_max,
-                                     on_row=lambda ell, bits, seconds: serial.append(bits)).signs
+        assert pooled.signs == full
+        assert sweep(E, w, n_max, ell_max,
+                     on_row=lambda ell, bits, n_computed, seconds: serial.append((bits, n_computed))).signs == full
         assert seen == serial
 
 

@@ -209,9 +209,9 @@ def ladder_signs(E, w, ell, n_max):
     """The precision ladder alone, whatever the row's size: (bits, signs) from the first width that decides, or None."""
     g = g_table(E, w, ell, n_max + 1).values
     for bits in LADDER_BITS:
-        signs = _rung_signs(g, bits)
-        if signs is not None:
-            return bits, signs
+        row = _rung_signs(g, bits)
+        if row is not None:
+            return bits, row[0]
     return None
 
 
@@ -244,7 +244,7 @@ class TestBoundedSigns:
         g = g_table(E, w, ell, n_max + 1).values
         for bits in WIDTHS:
             row = _rung_signs(g, bits)
-            assert row is None or row == exact, bits
+            assert row is None or row[0] == exact, bits
 
     @settings(max_examples=60, deadline=None)
     @given(exception_specs(), WEIGHT_SPECS, st.integers(1, 80), st.integers(1, 60))
@@ -255,13 +255,19 @@ class TestBoundedSigns:
     @example(espec="support:1,3", wspec="power", ell=170, n_max=60)
     def test_row_signs_equal_exact_over_the_grammar(self, espec, wspec, ell, n_max):
         E, w = exceptions_from_spec(espec), weight_from_spec(wspec)
-        assert row_signs(E, w, ell, n_max)[1] == exact_signs(E, w, ell, n_max)
+        bits, signs, bounds = row_signs(E, w, ell, n_max)
+        assert signs == exact_signs(E, w, ell, n_max)
+        # the bounds the sweep certifies columns from: upper bounds on p(0..n_max + 1), of the
+        # deciding width, or the first rung's on the exact route
+        p = coeffs_by_recurrence(E, w, ell, n_max + 1).coeffs
+        assert len(bounds) == len(p)
+        assert all(x <= hi << e and hi <= 1 << (bits or LADDER_BITS[0]) for x, (hi, e) in zip(p, bounds))
 
     def test_route_boundary(self):
         # 2,4/power rows with n_max = 50 reach BOUNDED_MIN_SIZE between ell 41 and 42
         assert row_size(E24, POWER, 41, 50) < BOUNDED_MIN_SIZE <= row_size(E24, POWER, 42, 50)
-        assert row_signs(E24, POWER, 41, 50) == (None, exact_signs(E24, POWER, 41, 50))
-        assert row_signs(E24, POWER, 42, 50) == (LADDER_BITS[0], exact_signs(E24, POWER, 42, 50))
+        assert row_signs(E24, POWER, 41, 50)[:2] == (None, exact_signs(E24, POWER, 41, 50))
+        assert row_signs(E24, POWER, 42, 50)[:2] == (LADDER_BITS[0], exact_signs(E24, POWER, 42, 50))
 
     def test_intervals_bracket_exact_coefficients(self):
         for espec in BATTERY:
@@ -303,15 +309,15 @@ class TestBoundedSigns:
     def test_sparse_support_falls_back(self):
         assert ladder_signs(S13, POWER, 170, 60) is None
         assert row_size(S13, POWER, 170, 60) >= BOUNDED_MIN_SIZE
-        assert row_signs(S13, POWER, 170, 60) == (None, exact_signs(S13, POWER, 170, 60))
+        assert row_signs(S13, POWER, 170, 60)[:2] == (None, exact_signs(S13, POWER, 170, 60))
         widths = {}
-        grid = sweep(S13, POWER, 60, 170, on_row=lambda ell, bits, seconds: widths.update({ell: bits}))
+        grid = sweep(S13, POWER, 60, 170, on_row=lambda ell, bits, n_computed, seconds: widths.update({ell: bits}))
         assert set(widths.values()) == {None} and sorted(widths) == list(range(1, 171))
         assert grid.signs == tuple(exact_signs(S13, POWER, ell, 60) for ell in range(1, 171))
 
     def test_figure_row_is_bounded(self):
         # the top row of the 50 x 400 grid for E = {2, 4}: coefficients near 10.7k bits
-        assert row_signs(E24, POWER, 400, 50) == (LADDER_BITS[0], exact_signs(E24, POWER, 400, 50))
+        assert row_signs(E24, POWER, 400, 50)[:2] == (LADDER_BITS[0], exact_signs(E24, POWER, 400, 50))
 
     @pytest.mark.parametrize("ell,bits", [(200, LADDER_BITS[1]), (400, LADDER_BITS[2])])
     def test_wider_rung_decides_tie_column_rows(self, ell, bits):
@@ -320,7 +326,7 @@ class TestBoundedSigns:
         E = exceptions_from_spec("none")
         g = g_table(E, POWER, ell, 51).values
         assert all(_rung_signs(g, narrower) is None for narrower in LADDER_BITS if narrower < bits)
-        assert row_signs(E, POWER, ell, 50) == (bits, exact_signs(E, POWER, ell, 50))
+        assert row_signs(E, POWER, ell, 50)[:2] == (bits, exact_signs(E, POWER, ell, 50))
 
     def test_one_g_table_per_row(self, monkeypatch):
         calls = []

@@ -1,0 +1,111 @@
+import json
+from fractions import Fraction
+from math import factorial
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from eulerprod import MaxProdTable, exceptions_from_spec, row_signs, sweep, weight_from_spec
+from eulerprod.terminal import ROW_LAG, ColumnCertificates, representable, slope_one_offsets, top_coefficients
+from test_maxprod import exception_specs
+
+POWER = weight_from_spec("power")
+S13 = exceptions_from_spec("support:1,3")
+
+
+def maximizer_sum(table, n, weights):
+    """sum over the maximizers of n of prod_{m >= 2} weights[m]^k_m / k_m!, by enumeration."""
+    total = Fraction(0)
+    for partition in table.maximizers(n):
+        term = Fraction(1)
+        for m, k in partition.multiplicities().items():
+            if m >= 2:
+                term *= Fraction(weights.get(m, 1) ** k, factorial(k))
+        total += term
+    return total
+
+
+class TestTopCoefficients:
+    @settings(max_examples=60, deadline=None)
+    @given(exception_specs(), st.integers(0, 36), st.dictionaries(st.integers(2, 36), st.integers(1, 40)))
+    # 1, 2, 3 and 4 all lead, and the tie at 8 (3+3+2 against 3+4 and 3+2+2 around it) is exact
+    @example(espec="none", N=12, weights={})
+    @example(espec="3", N=36, weights={2: 8, 4: 2})
+    def test_recurrence_equals_the_maximizers(self, espec, N, weights):
+        table = MaxProdTable(exceptions_from_spec(espec), N)
+        X, F = top_coefficients(table, weights)
+        assert F == factorial(N // 2)
+        for n in range(N + 1):
+            assert Fraction(X[n], F) == maximizer_sum(table, n, weights), (espec, n)
+
+
+class TestCoverage:
+    def test_presets_have_slope_one(self):
+        parts = tuple(range(1, 52))
+        assert slope_one_offsets(POWER, parts) == ({m: -1 for m in parts[1:]},) * 2
+        even, odd = slope_one_offsets(weight_from_spec("example2"), parts)
+        assert (even[2], odd[2], even[4], odd[4], even[3], odd[3]) == (1, -1, -1, 1, 0, 0)
+
+    def test_a_steeper_part_gets_no_top_certificate(self, tmp_path):
+        path = tmp_path / "steep.json"
+        path.write_text(json.dumps({"base": -1, "phi": -1, "psi": 1, "B": 2, "overrides": {"2": "ell+ell"}}))
+        w = weight_from_spec(f"custom:{path}")
+        none = exceptions_from_spec("none")
+        assert ColumnCertificates(none, w, 20).offsets is None
+        # only a part the exception set allows counts
+        assert ColumnCertificates(exceptions_from_spec("2"), w, 20).offsets is not None
+        seen = []
+        grid = sweep(none, w, 20, 30, on_row=lambda ell, bits, n_computed, seconds: seen.append(n_computed))
+        # column 1 is certified by sparse support only, so every row computes the full width
+        assert seen == [20] * 30
+        assert grid.signs == tuple(row_signs(none, w, ell, 20)[1] for ell in range(1, 31))
+
+
+class TestSparseSupport:
+    @settings(max_examples=40, deadline=None)
+    @given(exception_specs(), st.integers(1, 40))
+    def test_representable_by_brute_force(self, espec, N):
+        E = exceptions_from_spec(espec)
+        parts = [m for m in MaxProdTable(E, N).parts if m >= 2]
+        sums = {0}
+        for _ in range(N):
+            sums |= {s + m for s in sums for m in parts if s + m <= N}
+        assert representable(E, N) == [k in sums for k in range(N + 1)]
+
+    def test_every_column_of_one_three_from_the_first_row(self):
+        columns = ColumnCertificates(S13, POWER, 60)
+        assert columns.width(1) == columns.width(2) == 0
+        # n or n + 1 is never a multiple of 3, and the signs are those of the exact rows
+        for ell in (1, 2, 170):
+            assert columns.record(ell, (), ()) == row_signs(S13, POWER, ell, 60)[1]
+
+    def test_a_contradicted_certificate_raises(self):
+        columns = ColumnCertificates(S13, POWER, 6)
+        row = row_signs(S13, POWER, 1, 6)
+        assert columns.record(1, *row[1:]) == row[1]
+        flipped = (row[1][0], -row[1][1], *row[1][2:])
+        with pytest.raises(ArithmeticError, match="column 2 is certified -1 but computes"):
+            columns.record(1, flipped, row[2])
+
+
+class TestTopTerms:
+    def test_tie_column_is_never_certified(self):
+        # at n = 8 the top terms of p(8)^2 and p(7) p(9) cancel exactly: 18^2 = 12 * 27 and
+        # (1/2)^2 = (3/2) (1/6), so no certificate exists, while every other column gets one
+        none = exceptions_from_spec("none")
+        seen = []
+        sweep(none, POWER, 50, 200, on_row=lambda ell, bits, n_computed, seconds: seen.append(n_computed))
+        assert min(seen) == seen[-1] == 8
+
+    def test_certified_signs_hold_at_every_later_row(self):
+        # feed full rows, so every certified cell is computed as well and checked by record
+        E = exceptions_from_spec("2,4")
+        columns = ColumnCertificates(E, POWER, 50)
+        for ell in range(1, 131):
+            _, signs, bounds = row_signs(E, POWER, ell, 50)
+            assert columns.record(ell, signs, bounds) == signs
+        # every column of the paper's figure is certified in both parities, the last at ell 116
+        assert all(len(proven) == 50 for proven in columns.proven)
+        assert max(since for proven in columns.proven for since, _ in proven.values()) == 116 + ROW_LAG
+        assert columns.width(130) == 0
