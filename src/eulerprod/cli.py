@@ -193,16 +193,11 @@ def _run_sweep(args: argparse.Namespace) -> int:
 
 
 def _run_verify(args: argparse.Namespace) -> int:
-    params = {key: value for key, value in
-              (("n_max", args.n_max), ("ell_max", args.ell_max), ("jobs", args.jobs))
-              if value is not None}
-    if params and args.suite not in ("figure1", "all"):
-        raise ValueError("--n-max/--ell-max/--jobs only apply to the figure1 suite")
     suites = SUITE_IDS if args.suite == "all" else (args.suite,)
     all_passed = True
     for suite in suites:
         start = time.perf_counter()
-        report = verify_suite(suite, **(params if suite == "figure1" else {}))
+        report = verify_suite(suite)
         if args.timings:
             print(f"{suite} {time.perf_counter() - start:.3f}", file=sys.stderr)
         for check in report.checks:
@@ -271,9 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("suite", choices=SUITE_IDS + ("all",))
-    p.add_argument("--n-max", type=int, help="figure1 only")
-    p.add_argument("--ell-max", type=int, help="figure1 only")
-    p.add_argument("--jobs", type=int, help="figure1 only")
     p.add_argument("--timings", action="store_true",
                    help="print '<suite> <seconds>' per suite to stderr")
     p.set_defaults(run=_run_verify)
@@ -284,9 +276,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -300,23 +300,15 @@ def _suite_theorems() -> SuiteReport:
     return SuiteReport("theorems", tuple(checks))
 
 
-def _suite_figure1(n_max: int = 50, ell_max: int = 300, jobs: int = 1) -> SuiteReport:
-    """Grid reproduction for excluded parts 2 and 4, power weights.
-
-    The defaults reproduce the published 50 x 300 grid.  A reduced
-    ell_max runs faster but leaves the slow columns unsettled, which
-    the checks then report as failures rather than papering over.  The
-    checks read the columns 4..n_max, so n_max must be at least 4.
-    """
-    if n_max < 4:
-        raise ValueError(f"figure1 checks the columns 4..n_max, so n_max must be >= 4, got {n_max}")
+def _suite_figure1() -> SuiteReport:
+    """The published 50 x 300 grid for excluded parts 2 and 4, power weights."""
     E = exceptions_from_spec("2,4")
-    grid = sweep(E, weight_from_spec("power"), n_max, ell_max, jobs=jobs)
+    grid = sweep(E, weight_from_spec("power"), 50, 300)
     rows = [r for r in stabilization(grid, default_predictions(grid)) if r.n >= 4]
 
     failures = [f"n={r.n}" for r in rows if not r.stabilized]
     checks = [_result("columns-stabilize", failures,
-                      f"every column n in 4..{n_max} settles below ell = {ell_max}")]
+                      "every column n in 4..50 settles below ell = 300")]
 
     failures = [f"n={r.n}: terminal {r.terminal_sign}" for r in rows
                 if (r.terminal_sign == 1) != (r.n % 3 == 0)]
@@ -381,15 +373,11 @@ _SUITES = {
 SUITE_IDS = tuple(_SUITES)
 
 
-def verify_suite(suite_id: str, **params) -> SuiteReport:
-    """Run one named suite and return its report.
-
-    Only figure1 accepts parameters (n_max, ell_max, jobs); unknown
-    suite ids raise ValueError.
-    """
+def verify_suite(suite_id: str) -> SuiteReport:
+    """Run one named suite at its published size; unknown ids raise ValueError."""
     try:
         runner = _SUITES[suite_id]
     except KeyError:
         raise ValueError(
             f"unknown suite {suite_id!r}; choose from {', '.join(_SUITES)}") from None
-    return runner(**params)
+    return runner()

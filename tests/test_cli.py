@@ -237,7 +237,7 @@ class TestVerify:
 
     def test_failing_suite_exit_code(self, capsys, monkeypatch):
         report = SuiteReport("q-tables", (CheckResult("stub", False, "n=1: 2 vs 3"),))
-        monkeypatch.setattr("eulerprod.cli.verify_suite", lambda suite, **kw: report)
+        monkeypatch.setattr("eulerprod.cli.verify_suite", lambda suite: report)
         code, out, _ = run(capsys, "verify", "q-tables")
         assert code == 1 and "FAIL q-tables/stub: n=1: 2 vs 3" in out
 
@@ -256,15 +256,15 @@ class TestVerify:
         name, seconds = timed[2].split()
         assert name == suite and float(seconds) >= 0
 
-    @pytest.mark.parametrize("n_max", ["3", "1", "-5"])
-    def test_figure1_needs_a_column(self, capsys, n_max):
-        code, out, err = run(capsys, "verify", "figure1", "--n-max", n_max, "--ell-max", "10")
-        assert code == 2 and out == ""
-        assert err.startswith("error: figure1 checks the columns 4..n_max") and err.count("\n") == 1
-
     def test_grid_flags_rejected_elsewhere(self, capsys):
-        code, _, err = run(capsys, "verify", "q-tables", "--ell-max", "10")
-        assert code == 2 and "figure1" in err
+        # every suite runs at its published size; other figure1 grids are a sweep away
+        for flag, value in (("--n-max", "10"), ("--ell-max", "10"), ("--jobs", "2")):
+            with pytest.raises(SystemExit) as info:
+                main(["verify", "figure1", flag, value])
+            out, err = capsys.readouterr()
+            assert info.value.code == 2 and out == "" and "Traceback" not in err
+            assert err.startswith("usage: eulerprod ") and err.count("error:") == 1
+            assert err.endswith(f"error: unrecognized arguments: {flag} {value}\n")
 
 
 def test_bad_exception_spec(capsys):

@@ -404,8 +404,8 @@ class TestTailCut:
     def test_wide_rows(self, espec, wspec, ell):
         assert_row_cut_matches_full_scan(exceptions_from_spec(espec), weight_from_spec(wspec), ell, 201)
 
-    @settings(max_examples=12, deadline=None)
-    @given(st.sampled_from(BATTERY), st.sampled_from(PRESETS), st.integers(1, 150), st.integers(1, 201))
+    @settings(max_examples=30, deadline=None)
+    @given(exception_specs(), WEIGHT_SPECS, st.integers(1, 150), st.integers(1, 201))
     def test_random_rows(self, espec, wspec, ell, N):
         assert_row_cut_matches_full_scan(exceptions_from_spec(espec), weight_from_spec(wspec), ell, N)
 

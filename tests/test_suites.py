@@ -45,10 +45,12 @@ def test_maxprod_suite_builds_one_table_and_one_walk_per_spec(monkeypatch):
     assert built == walks == [28] * len(BATTERY)
 
 
-def test_reduced_grid_reports_unsettled_columns():
+def test_reduced_grid_reports_unsettled_columns(monkeypatch):
     # a short sweep stabilizes spuriously on slow columns; the pattern
     # check must surface that instead of calling the grid reproduced
-    report = verify_suite("figure1", n_max=10, ell_max=8)
+    sweep = suites.sweep
+    monkeypatch.setattr(suites, "sweep", lambda E, w, n_max, ell_max: sweep(E, w, 10, 8))
+    report = verify_suite("figure1")
     checks = {c.name: c for c in report.checks}
     assert checks["columns-stabilize"].passed
     assert not checks["terminal-sign-pattern"].passed
