@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .maxprod import MaxProdTable, _coefficient
+from .maxprod import MaxProdTable, _coefficient, shared_table
 from .model import PRESETS, ExceptionSet, WeightFamily, member, next_allowed
 from .qseries import g_table
 
@@ -92,14 +92,14 @@ def q_value(E: ExceptionSet, n: int) -> QValue:
     """Exact quotient M(n)^2 / (M(n-1) M(n+1)) with its trichotomy."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return _quotient(MaxProdTable(E, n + 1).best, n)
+    return _quotient(shared_table(E, n + 1).best, n)
 
 
 def classify_basic(E: ExceptionSet, n: int) -> Prediction:
     """Quotient criterion: above 1 concave, below 1 convex, tie open."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return _basic(MaxProdTable(E, n + 1), n)
+    return _basic(shared_table(E, n + 1), n)
 
 
 def _basic(table: MaxProdTable, n: int) -> Prediction:
@@ -125,7 +125,7 @@ def a_ratio(E: ExceptionSet, n: int) -> ARatio:
     """Coefficient ratio A(n)^2 / (A(n-1) A(n+1)) with hypothesis record."""
     if n < 2:
         raise ValueError(f"the ratio needs n >= 2, got {n}")
-    return _a_ratio(MaxProdTable(E, n + 1 + _GROWTH_GUARD), n)
+    return _a_ratio(shared_table(E, n + 1 + _GROWTH_GUARD), n)
 
 
 def classify_refined(E: ExceptionSet, n: int, weights: WeightFamily | None = None,
@@ -139,7 +139,7 @@ def classify_refined(E: ExceptionSet, n: int, weights: WeightFamily | None = Non
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return _refined(E, MaxProdTable(E, n + 1 + _GROWTH_GUARD), n, weights, probe_ells)
+    return _refined(E, shared_table(E, n + 1 + _GROWTH_GUARD), n, weights, probe_ells)
 
 
 def _refined(E: ExceptionSet, table: MaxProdTable, n: int, weights: WeightFamily | None,
@@ -312,11 +312,11 @@ def classify_pipeline(E: ExceptionSet, n: int, weights: WeightFamily | None = No
 
 def _pipeline_columns(E: ExceptionSet, ns: Iterable[int], weights: WeightFamily | None,
                       probe_ells: Iterable[int] | None = None) -> dict[int, Prediction]:
-    """classify_pipeline at each n, with one max-product table for all the open columns."""
+    """classify_pipeline at each n; the open columns read the shared max-product table of E."""
     out = {n: theorem_table(E, n) for n in ns}
     open_ns = [n for n, p in out.items() if p.verdict in (UNKNOWN, CONDITIONAL)]
     if open_ns:
-        maxprod = MaxProdTable(E, max(open_ns) + 1 + _GROWTH_GUARD)
+        maxprod = shared_table(E, max(open_ns) + 1 + _GROWTH_GUARD)
         for n in open_ns:
             out[n] = _after_table(E, n, out[n], maxprod, weights, probe_ells)
     return out

@@ -107,6 +107,11 @@ class MaxProdTable:
     s * best[r - s] < best[s] * best[r - s] <= best[r]; the parts with
     c(s) <= s are the leads.  The runner-up products come from the
     all-parts recurrence, built the first time report() needs them.
+
+    The table is prefix-stable: best, leads and maximizers(m) for m up to
+    n_max are the same in any table of E with a larger horizon, which is
+    what lets shared_table() regrow a table in place of the old one.
+    maximizers(n) remembers each answer it gives; see that method.
     """
 
     parts: tuple[int, ...]
@@ -129,6 +134,12 @@ class MaxProdTable:
         object.__setattr__(self, "parts", parts)
         object.__setattr__(self, "leads", tuple(leads))
         object.__setattr__(self, "best", tuple(best))
+        object.__setattr__(self, "_known", {})
+
+    @property
+    def n_max(self) -> int:
+        """The largest target in the table."""
+        return len(self.best) - 1
 
     @cached_property
     def second(self) -> tuple[int | None, ...]:
@@ -146,30 +157,71 @@ class MaxProdTable:
             second.append(runner_up)
         return tuple(v or None for v in second)
 
+    @cached_property
+    def firsts(self) -> tuple[tuple[int, ...], ...]:
+        """For every target r, the leads s with s * best[r - s] == best[r], ascending:
+        the parts that start a maximizer of r."""
+        best = self.best
+        return tuple(tuple(s for s in self.leads[:bisect_right(self.leads, r)] if s * best[r - s] == best[r])
+                     for r in range(len(best)))
+
     def maximizers(self, n: int) -> tuple[PartitionMultiset, ...]:
         """Every partition of n attaining best[n], rebuilt from the leads.
 
         A lead s starts a maximizer of r (parts non-increasing) exactly when
         s * best[r - s] == best[r]; the rest is then a maximizer of r - s
         with parts <= s.  An explicit stack keeps chains such as 1^n off
-        the call stack.
+        the call stack.  Each answer is remembered, and a walk that reaches
+        a remembered target r takes its maximizers with largest part <= cap
+        instead of walking on; targets nobody asked for are never filled in,
+        since a fill over every r costs O(n^3) on chain maximizer sets.
         """
-        if not 0 <= n < len(self.best):
-            raise ValueError(f"n must be in 0..{len(self.best) - 1}, got {n}")
-        best, leads, hits, stack = self.best, self.leads, [], [(n, n, ())]
-        while stack:
-            r, cap, acc = stack.pop()
-            if r == 0:
-                hits.append(acc)
-            stack.extend((r - s, s, acc + (s,)) for s in leads[:bisect_right(leads, min(r, cap))]
-                         if s * best[r - s] == best[r])
-        return _canonical(hits)
+        if not 0 <= n <= self.n_max:
+            raise ValueError(f"n must be in 0..{self.n_max}, got {n}")
+        known = self._known
+        if n not in known:
+            firsts, hits, stack = self.firsts, [], [(n, n, ())]
+            while stack:
+                r, cap, acc = stack.pop()
+                if r in known:
+                    hits.extend(acc + m.parts for m in known[r] if not m.parts or m.parts[0] <= cap)
+                elif r == 0:
+                    hits.append(acc)
+                else:
+                    stack.extend((r - s, s, acc + (s,)) for s in firsts[r] if s <= cap)
+            # each maximizer is reached once, with its parts already non-increasing
+            known[n] = tuple(PartitionMultiset(p) for p in sorted(hits))
+        return known[n]
 
     def report(self, n: int) -> MaxProdReport:
         """Full report at n: maximizers, their coefficient and the runner-up."""
         maximizers = self.maximizers(n)
         return MaxProdReport(n, self.best[n], maximizers, len(maximizers) == 1,
                              _coefficient(maximizers), self.second[n])
+
+
+SHARED_TABLES = 8
+_shared: dict[ExceptionSet, MaxProdTable] = {}
+
+
+def shared_table(E: ExceptionSet, n_max: int) -> MaxProdTable:
+    """A table of E reaching at least n_max, shared by every caller in the process.
+
+    The tables of the SHARED_TABLES most recently used exception sets are
+    kept.  The first build is at exactly n_max; a query beyond a kept
+    table's horizon rebuilds it at max(n_max, twice the old horizon), so
+    a column-by-column scan rebuilds O(log n) times.  Prefix stability
+    makes every answer independent of which horizon the table has.
+    """
+    table = _shared.pop(E, None)
+    if table is None:
+        table = MaxProdTable(E, n_max)
+    elif table.n_max < n_max:
+        table = MaxProdTable(E, max(n_max, 2 * table.n_max))
+    _shared[E] = table
+    if len(_shared) > SHARED_TABLES:
+        del _shared[next(iter(_shared))]
+    return table
 
 
 def max_product_values(E: ExceptionSet, n_max: int) -> tuple[int, ...]:

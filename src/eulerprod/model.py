@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 
@@ -173,17 +174,21 @@ def next_allowed(E: ExceptionSet, m: int) -> int | None:
     return k
 
 
+@lru_cache(maxsize=4096)
+def _allowed_divisors(E: ExceptionSet, n: int) -> tuple[int, ...]:
+    """Ascending divisors of n that are allowed parts; one scan per (E, n), since the
+    g-envelope check asks for the same n at every ell."""
+    return tuple(d for d in divisors(n) if not member(E, d))
+
+
 def sigma_E1(E: ExceptionSet, n: int) -> int:
     """Sum of the divisors of n that are allowed parts."""
-    return sum(d for d in divisors(n) if not member(E, d))
+    return sum(_allowed_divisors(E, n))
 
 
 def largest_S_divisor(E: ExceptionSet, n: int) -> int:
-    """Largest divisor of n that is an allowed part; at worst 1."""
-    for d in reversed(divisors(n)):
-        if not member(E, d):
-            return d
-    raise AssertionError("unreachable: 1 always divides n and is never excluded")
+    """Largest divisor of n that is an allowed part; at worst 1, which is never excluded."""
+    return _allowed_divisors(E, n)[-1]
 
 
 _TOKEN = re.compile(r"\d+$")

@@ -72,19 +72,18 @@ def top_coefficients(table: MaxProdTable, weights: dict[int, int]) -> tuple[tupl
     be the sum over the maximizers of r without a part 1.  Since
     r = sum_s s k_s and k_s w^k_s / k_s! = w w^(k_s - 1) / (k_s - 1)!,
     removing one part s >= 2 gives r Y[r] = sum s weights[s] Y[r - s] over
-    the leads s with best[r - s] s == best[r].  A maximizer of r with a
-    part 1 is a maximizer of r - 1 and a 1, where best[r - 1] == best[r],
-    and part 1 is a factor 1 at any multiplicity.  F = (N // 2)! clears
-    every denominator, since at most N / 2 parts are >= 2, so each
-    division by r is exact.
+    the parts s >= 2 in table.firsts[r], the leads with best[r - s] s ==
+    best[r].  A maximizer of r with a part 1 is a maximizer of r - 1 and
+    a 1, where best[r - 1] == best[r], and part 1 is a factor 1 at any
+    multiplicity.  F = (N // 2)! clears every denominator, since at most
+    N / 2 parts are >= 2, so each division by r is exact.
     """
-    best = table.best
-    N = len(best) - 1
+    best, N = table.best, table.n_max
     F = factorial(N // 2)
-    leads = [(s, s * weights.get(s, 1)) for s in table.leads if s >= 2]
+    sw = {s: s * weights.get(s, 1) for s in table.leads}
     X, Y = [F], [F]
     for r in range(1, N + 1):
-        Y.append(sum(sw * Y[r - s] for s, sw in leads if s <= r and best[r - s] * s == best[r]) // r)
+        Y.append(sum(sw[s] * Y[r - s] for s in table.firsts[r] if s >= 2) // r)
         X.append(Y[r] + (X[r - 1] if best[r - 1] == best[r] else 0))
     return tuple(X), F
 

@@ -1,7 +1,9 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eulerprod import (
     CONDITIONAL,
@@ -21,7 +23,8 @@ from eulerprod import (
     theorem_table,
     weight_from_spec,
 )
-from eulerprod.classify import MECH_TABLE, _basic
+from eulerprod import maxprod
+from eulerprod.classify import MECH_TABLE, _basic, _pipeline_columns
 from test_maxprod import exception_specs
 
 E0 = exceptions_from_spec("none")
@@ -223,6 +226,17 @@ class TestPipeline:
         p = classify_pipeline(exceptions_from_spec("2,4,5"), 7)
         assert p.verdict == UNKNOWN
 
+    @settings(max_examples=40, deadline=None)
+    @given(spec=exception_specs(), order=st.permutations(range(1, 41)))
+    def test_shuffled_columns_match_one_fresh_table(self, spec, order):
+        # column by column the shared table regrows and is read at every horizon it passes through
+        E = exceptions_from_spec(spec)
+        with mock.patch.dict(maxprod._shared, clear=True):
+            expected = _pipeline_columns(E, range(1, 41), None)
+        with mock.patch.dict(maxprod._shared, clear=True):
+            assert {n: classify_pipeline(E, n) for n in order} == expected
+
+    @pytest.mark.usefixtures("empty_shared_tables")
     def test_open_columns_never_build_runner_ups(self, monkeypatch):
         built = []
         init = MaxProdTable.__init__

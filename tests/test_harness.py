@@ -270,6 +270,7 @@ class TestDefaultPredictions:
             expected = {n: classify_pipeline(E, n, w) for n in range(1, 61)}
             assert default_predictions(blank_grid(E, w, 60)) == expected, espec
 
+    @pytest.mark.usefixtures("empty_shared_tables")
     def test_one_max_product_table_per_grid(self, monkeypatch):
         built = []
         init = MaxProdTable.__init__

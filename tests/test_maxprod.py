@@ -1,5 +1,6 @@
 from fractions import Fraction
 from functools import lru_cache
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,8 @@ from eulerprod import (
     max_product_values,
     member,
 )
+from eulerprod import maxprod
+from eulerprod.maxprod import SHARED_TABLES, shared_table
 from eulerprod.suites import _closed_form_agrees
 
 
@@ -205,6 +208,44 @@ class TestMaxProdTable:
         for n in range(N + 1):
             assert table.report(n) == max_product(E, n)
             assert walk[n] == max_product_bruteforce(E, n)
+
+
+class TestSharedTable:
+    @settings(max_examples=60, deadline=None)
+    @given(spec=exception_specs(), targets=st.lists(st.integers(0, 60), min_size=1, max_size=12))
+    def test_any_query_order_matches_a_fresh_table(self, spec, targets):
+        # targets in random order regrow the table and revisit remembered walks
+        E = exceptions_from_spec(spec)
+        brute = max_product_bruteforce_all(E, 28)
+        with mock.patch.dict(maxprod._shared, clear=True):
+            for n in targets:
+                table = shared_table(E, n)
+                assert table.n_max >= n
+                assert table.maximizers(n) == MaxProdTable(E, n).maximizers(n)
+                if n <= 28:
+                    assert table.report(n) == brute[n]
+
+    @pytest.mark.usefixtures("empty_shared_tables")
+    def test_regrowth_doubles_the_horizon(self):
+        E = exceptions_from_spec("2,4")
+        table = shared_table(E, 10)
+        assert table.n_max == 10 and shared_table(E, 7) is table
+        assert shared_table(E, 11).n_max == 20
+        assert shared_table(E, 50).n_max == 50
+
+    @pytest.mark.usefixtures("empty_shared_tables")
+    def test_keeps_the_most_recent_sets(self):
+        specs = ["none", "2", "3", "4", "5", "2,4", "2,4,5", "2,3,4", "support:1,3"]
+        for spec in specs:
+            shared_table(exceptions_from_spec(spec), 12)
+        assert len(maxprod._shared) == SHARED_TABLES == 8
+        assert list(maxprod._shared) == [exceptions_from_spec(s) for s in specs[1:]]
+
+    def test_walk_remembers_only_what_was_asked(self):
+        # 3 excluded: 2+2 and 4 swap freely, a chain of 101 maximizers at 400
+        table = MaxProdTable(exceptions_from_spec("3"), 400)
+        assert len(table.maximizers(400)) == 101
+        assert list(table._known) == [400] and len(table._known[400]) == 101
 
 
 class TestBruteForce:
