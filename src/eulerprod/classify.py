@@ -15,9 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable
 
-from .maxprod import MaxProdTable, _coefficient, shared_table
+from .maxprod import MaxProdTable, shared_table
 from .model import PRESETS, ExceptionSet, WeightFamily, member, next_allowed
 from .qseries import g_table
 
@@ -118,7 +119,8 @@ def _a_ratio(table: MaxProdTable, n: int) -> ARatio:
     unique = len(below) == 1, len(at) == 1, len(above) == 1
     balanced = all(unique) and sorted(at[0].parts * 2) == sorted(below[0].parts + above[0].parts)
     record = HypothesisRecord(strict, *unique, balanced)
-    return ARatio(n, _coefficient(at) ** 2 / (_coefficient(below) * _coefficient(above)), record)
+    A = table.coefficients
+    return ARatio(n, A[n] ** 2 / (A[n - 1] * A[n + 1]), record)
 
 
 def a_ratio(E: ExceptionSet, n: int) -> ARatio:
@@ -190,27 +192,19 @@ def _trend(values: list[Fraction]) -> str:
     return "mixed"
 
 
-def classify_delta_branch(E: ExceptionSet, n: int, w: WeightFamily,
-                          probe_ells: Iterable[int]) -> Prediction:
-    """Probe 2 g(4) / g(2)^2 exactly and report both published branches.
+# 1, 2, 3 and 4 all allowed: g(2) = 1 + 2 f(2) and g(4) = g(2) + 4 f(4) for every such E
+_ALL_PARTS = ExceptionSet()
+PROBE_FAMILIES = 16
 
-    If the probed ratio eventually stays above some fixed delta > 1 and
-    n > 2(delta+2)/(delta-1), the sequence turns convex; if it stays
-    below some delta < 1, concave.  Finitely many probes cannot assert
-    either limit, so the verdict is always conditional and carries the
-    exact probe values and the observed trend.
-    """
-    for m in (2, 3, 4):
-        if member(E, m):
-            raise ValueError("branch analysis needs parts 2, 3 and 4 allowed")
-    if n % 3 != 2:
-        raise ValueError(f"branch analysis applies to n = 2 mod 3, got {n}")
-    probes: list[tuple[int, Fraction]] = []
+
+@lru_cache(maxsize=PROBE_FAMILIES)
+def _probe_detail(w: WeightFamily, probe_ells: tuple[int, ...]) -> tuple[tuple[str, object], ...]:
+    """The items of a delta-branch detail: 2 g(4) / g(2)^2 at each probe ell, their trend and
+    bound; a call that raises leaves nothing cached."""
+    probes = []
     for ell in probe_ells:
-        gt = g_table(E, w, ell, 4)
-        probes.append((ell, Fraction(2 * gt.values[4], gt.values[2] ** 2)))
-    if not probes:
-        raise ValueError("at least one probe ell is required")
+        g = g_table(_ALL_PARTS, w, ell, 4).values
+        probes.append((ell, Fraction(2 * g[4], g[2] ** 2)))
     ratios = [r for _, r in probes]
     last = ratios[-1]
     trend = _trend(ratios)
@@ -224,7 +218,29 @@ def classify_delta_branch(E: ExceptionSet, n: int, w: WeightFamily,
     }
     if last > 1:
         detail["n_bound_at_last"] = delta_branch_n_bound(last)
-    return Prediction(CONDITIONAL, MECH_DELTA, detail)
+    return tuple(detail.items())
+
+
+def classify_delta_branch(E: ExceptionSet, n: int, w: WeightFamily,
+                          probe_ells: Iterable[int]) -> Prediction:
+    """Probe 2 g(4) / g(2)^2 exactly and report both published branches.
+
+    If the probed ratio eventually stays above some fixed delta > 1 and
+    n > 2(delta+2)/(delta-1), the sequence turns convex; if it stays
+    below some delta < 1, concave.  Finitely many probes cannot assert
+    either limit, so the verdict is always conditional and carries the
+    exact probe values and the observed trend.  Neither depends on n or
+    on E, so they are computed once per weight family and probe ells.
+    """
+    for m in (2, 3, 4):
+        if member(E, m):
+            raise ValueError("branch analysis needs parts 2, 3 and 4 allowed")
+    if n % 3 != 2:
+        raise ValueError(f"branch analysis applies to n = 2 mod 3, got {n}")
+    probe_ells = tuple(probe_ells)
+    if not probe_ells:
+        raise ValueError("at least one probe ell is required")
+    return Prediction(CONDITIONAL, MECH_DELTA, dict(_probe_detail(w, probe_ells)))
 
 
 def theorem_table(E: ExceptionSet, n: int) -> Prediction:
@@ -313,6 +329,8 @@ def classify_pipeline(E: ExceptionSet, n: int, weights: WeightFamily | None = No
 def _pipeline_columns(E: ExceptionSet, ns: Iterable[int], weights: WeightFamily | None,
                       probe_ells: Iterable[int] | None = None) -> dict[int, Prediction]:
     """classify_pipeline at each n; the open columns read the shared max-product table of E."""
+    if probe_ells is not None:
+        probe_ells = tuple(probe_ells)
     out = {n: theorem_table(E, n) for n in ns}
     open_ns = [n for n, p in out.items() if p.verdict in (UNKNOWN, CONDITIONAL)]
     if open_ns:

@@ -106,7 +106,9 @@ class MaxProdTable:
     with c(s) > s never occurs in a maximizer, since
     s * best[r - s] < best[s] * best[r - s] <= best[r]; the parts with
     c(s) <= s are the leads.  The runner-up products come from the
-    all-parts recurrence, built the first time report() needs them.
+    all-parts recurrence, built the first time report() needs them; the
+    coefficients A(n) from the lead recurrence, built the first time
+    report() or the refined criterion needs them.
 
     The table is prefix-stable: best, leads and maximizers(m) for m up to
     n_max are the same in any table of E with a larger horizon, which is
@@ -165,6 +167,21 @@ class MaxProdTable:
         return tuple(tuple(s for s in self.leads[:bisect_right(self.leads, r)] if s * best[r - s] == best[r])
                      for r in range(len(best)))
 
+    @cached_property
+    def coefficients(self) -> tuple[Fraction, ...]:
+        """A(r), the sum of the maximizers' ordering coefficients, for every target r.
+
+        Every part of a maximizer is a lead, and a maximizer of r minus one
+        part s is a maximizer of r - s, where s * best[r - s] == best[r].
+        Since r = sum_s s k_s and k_s / k_s! = 1 / (k_s - 1)!, removing one
+        part s in every way gives r A(r) = sum s A(r - s) over s in firsts[r],
+        part 1 included, with A(0) = 1 for the empty partition.
+        """
+        firsts, A = self.firsts, [Fraction(1)]
+        for r in range(1, len(firsts)):
+            A.append(Fraction(sum(s * A[r - s] for s in firsts[r]), r))
+        return tuple(A)
+
     def maximizers(self, n: int) -> tuple[PartitionMultiset, ...]:
         """Every partition of n attaining best[n], rebuilt from the leads.
 
@@ -197,7 +214,7 @@ class MaxProdTable:
         """Full report at n: maximizers, their coefficient and the runner-up."""
         maximizers = self.maximizers(n)
         return MaxProdReport(n, self.best[n], maximizers, len(maximizers) == 1,
-                             _coefficient(maximizers), self.second[n])
+                             self.coefficients[n], self.second[n])
 
 
 SHARED_TABLES = 8

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import lru_cache
 from unittest import mock
 
 import pytest
@@ -23,9 +24,10 @@ from eulerprod import (
     theorem_table,
     weight_from_spec,
 )
-from eulerprod import maxprod
-from eulerprod.classify import MECH_TABLE, _basic, _pipeline_columns
+from eulerprod import classify, g_table, maxprod
+from eulerprod.classify import MECH_TABLE, PROBE_FAMILIES, _basic, _pipeline_columns
 from test_maxprod import exception_specs
+from test_qseries import WEIGHT_SPECS
 
 E0 = exceptions_from_spec("none")
 E4 = exceptions_from_spec("4")
@@ -137,6 +139,47 @@ class TestDeltaBranch:
         with pytest.raises(ValueError):
             classify_delta_branch(E0, 8, w, [])
 
+    @settings(max_examples=60, deadline=None)
+    @given(espec=st.sampled_from(["none", "5", "6,7", "multiples:5"]), wspec=WEIGHT_SPECS,
+           ells=st.lists(st.integers(1, 30), min_size=1, max_size=6))
+    def test_probes_match_the_g_tables_of_every_set(self, espec, wspec, ells):
+        # the probes are shared by the weight family across sets that allow 2, 3 and 4
+        E, w = exceptions_from_spec(espec), weight_from_spec(wspec)
+        expected = []
+        for ell in ells:
+            g = g_table(E, w, ell, 4).values
+            expected.append((ell, Fraction(2 * g[4], g[2] ** 2)))
+        assert classify_delta_branch(E, 8, w, iter(ells)).detail["probes"] == tuple(expected)
+
+    def test_a_failed_probe_is_not_remembered(self, tmp_path):
+        path = tmp_path / "weights.json"
+        path.write_text('{"base": -1, "phi": -1, "psi": 0, "B": 1, "overrides": {"4": "3-ell"}}')
+        w = weight_from_spec(f"custom:{path}")
+        for _ in range(3):
+            with pytest.raises(ValueError, match=r"negative exponent -1 for f_4\(4\)"):
+                classify_delta_branch(E0, 8, w, range(1, 5))
+        assert [ell for ell, _ in classify_delta_branch(E0, 8, w, range(1, 4)).detail["probes"]] == [1, 2, 3]
+        with pytest.raises(ValueError, match="negative exponent"):
+            classify_delta_branch(E0, 8, w, range(1, 5))
+
+    def test_probes_are_tabled_once_per_family(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return g_table(*args)
+
+        monkeypatch.setattr(classify, "g_table", counting)
+        monkeypatch.setattr(classify, "_probe_detail",
+                            lru_cache(maxsize=PROBE_FAMILIES)(classify._probe_detail.__wrapped__))
+        power, example2 = weight_from_spec("power"), weight_from_spec("example2")
+        for E in (E0, exceptions_from_spec("5"), exceptions_from_spec("6,7")):
+            _pipeline_columns(E, [8, 11, 14], power, range(1, 4))
+        assert len(calls) == 3
+        _pipeline_columns(E0, [8], example2, range(1, 4))
+        _pipeline_columns(E0, [8], power, range(1, 5))
+        assert len(calls) == 10
+
     def test_n_bound(self):
         assert delta_branch_n_bound(2) == 8
         assert delta_branch_n_bound(Fraction(3, 2)) == 14
@@ -221,6 +264,12 @@ class TestPipeline:
         p = classify_pipeline(E0, 8)
         assert p.verdict == CONDITIONAL and p.mechanism == "delta-branch"
         assert "probes" in p.detail
+
+    def test_one_shot_probe_ells_serve_every_column(self):
+        out = _pipeline_columns(E0, [8, 11, 14], weight_from_spec("power"), iter([1, 2, 3]))
+        for n in (8, 11, 14):
+            assert out[n].mechanism == "delta-branch"
+            assert [ell for ell, _ in out[n].detail["probes"]] == [1, 2, 3]
 
     def test_open_configuration_stays_open(self):
         p = classify_pipeline(exceptions_from_spec("2,4,5"), 7)

@@ -20,7 +20,7 @@ from eulerprod import (
     member,
 )
 from eulerprod import maxprod
-from eulerprod.maxprod import SHARED_TABLES, shared_table
+from eulerprod.maxprod import SHARED_TABLES, _coefficient, shared_table
 from eulerprod.suites import _closed_form_agrees
 
 
@@ -208,6 +208,26 @@ class TestMaxProdTable:
         for n in range(N + 1):
             assert table.report(n) == max_product(E, n)
             assert walk[n] == max_product_bruteforce(E, n)
+
+    @settings(max_examples=80, deadline=None)
+    @given(spec=exception_specs(), N=st.integers(0, 120))
+    def test_coefficient_column_matches_the_maximizer_sums(self, spec, N):
+        # the lead recurrence against two sums over enumerated maximizers: the table's and the brute force's
+        E = exceptions_from_spec(spec)
+        table, walk = MaxProdTable(E, N), max_product_bruteforce_all(E, 28)
+        assert len(table.coefficients) == N + 1
+        for n in range(N + 1):
+            assert table.coefficients[n] == _coefficient(table.maximizers(n))
+            if n <= 28:
+                assert table.coefficients[n] == walk[n].coefficient
+
+    def test_coefficient_column_on_a_chain(self):
+        # with 3 excluded the maximizers of 4 are 4 and 2+2 (1 + 1/2!), those of 8 are 4+4, 4+2+2
+        # and 2+2+2+2 (1/2! + 1/2! + 1/4!); the column is built on first use
+        table = MaxProdTable(exceptions_from_spec("3"), 8)
+        assert "coefficients" not in vars(table)
+        assert table.coefficients[:5] == (1, 1, 1, 1, Fraction(3, 2))
+        assert table.coefficients[8] == Fraction(25, 24)
 
 
 class TestSharedTable:
