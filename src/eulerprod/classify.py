@@ -119,8 +119,8 @@ def _a_ratio(table: MaxProdTable, n: int) -> ARatio:
     unique = len(below) == 1, len(at) == 1, len(above) == 1
     balanced = all(unique) and sorted(at[0].parts * 2) == sorted(below[0].parts + above[0].parts)
     record = HypothesisRecord(strict, *unique, balanced)
-    A = table.coefficients
-    return ARatio(n, A[n] ** 2 / (A[n - 1] * A[n + 1]), record)
+    a_below, a_at, a_above = (table.coefficient(m) for m in (n - 1, n, n + 1))
+    return ARatio(n, a_at ** 2 / (a_below * a_above), record)
 
 
 def a_ratio(E: ExceptionSet, n: int) -> ARatio:
@@ -194,10 +194,12 @@ def _trend(values: list[Fraction]) -> str:
 
 # 1, 2, 3 and 4 all allowed: g(2) = 1 + 2 f(2) and g(4) = g(2) + 4 f(4) for every such E
 _ALL_PARTS = ExceptionSet()
-PROBE_FAMILIES = 16
 
 
-@lru_cache(maxsize=PROBE_FAMILIES)
+# one entry: every caller in the package (the CLI, default_predictions, a
+# classify_pipeline scan) asks for a single (weights, probe ells) pair per
+# process, so a second entry would never be read; another pair recomputes
+@lru_cache(maxsize=1)
 def _probe_detail(w: WeightFamily, probe_ells: tuple[int, ...]) -> tuple[tuple[str, object], ...]:
     """The items of a delta-branch detail: 2 g(4) / g(2)^2 at each probe ell, their trend and
     bound; a call that raises leaves nothing cached."""

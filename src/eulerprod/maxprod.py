@@ -13,7 +13,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import factorial
+from math import factorial, perm
 
 from .model import ExceptionSet, member, next_allowed, support_view
 
@@ -91,6 +91,15 @@ def _assemble(n: int, product: int, parts_list: list[tuple[int, ...]],
     return MaxProdReport(n, product, maximizers, len(maximizers) == 1, _coefficient(maximizers), second)
 
 
+def _unchained(chain: tuple | None) -> tuple[int, ...]:
+    """The parts of a (last part, earlier chain) chain, first part first."""
+    parts = []
+    while chain is not None:
+        s, chain = chain
+        parts.append(s)
+    return tuple(reversed(parts))
+
+
 @dataclass(frozen=True, init=False)
 class MaxProdTable:
     """Maximal products for every target 0..n_max, from the parts that can lead a maximizer.
@@ -107,8 +116,8 @@ class MaxProdTable:
     s * best[r - s] < best[s] * best[r - s] <= best[r]; the parts with
     c(s) <= s are the leads.  The runner-up products come from the
     all-parts recurrence, built the first time report() needs them; the
-    coefficients A(n) from the lead recurrence, built the first time
-    report() or the refined criterion needs them.
+    coefficients A(n), scaled to integers, from the lead recurrence,
+    built the first time report() or the refined criterion needs them.
 
     The table is prefix-stable: best, leads and maximizers(m) for m up to
     n_max are the same in any table of E with a larger horizon, which is
@@ -168,19 +177,33 @@ class MaxProdTable:
                      for r in range(len(best)))
 
     @cached_property
-    def coefficients(self) -> tuple[Fraction, ...]:
-        """A(r), the sum of the maximizers' ordering coefficients, for every target r.
+    def _coefficient_column(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(K, C): K[r], the most parts in a maximizer of r, and C[r] = K[r]! A(r).
 
         Every part of a maximizer is a lead, and a maximizer of r minus one
         part s is a maximizer of r - s, where s * best[r - s] == best[r].
         Since r = sum_s s k_s and k_s / k_s! = 1 / (k_s - 1)!, removing one
         part s in every way gives r A(r) = sum s A(r - s) over s in firsts[r],
-        part 1 included, with A(0) = 1 for the empty partition.
+        part 1 included, with A(0) = 1 for the empty partition.  C[r] sums
+        K[r]! / prod k_s! over the maximizers, an integer as sum k_s <= K[r];
+        multiplying the recurrence by K[r]! makes every term an integer, so
+        the division by r is exact and no row reduces a Fraction whose
+        denominator is a factorial (A(4000) with 2, 4, 5 excluded has one
+        of about 12k bits).
         """
-        firsts, A = self.firsts, [Fraction(1)]
+        firsts, K, C = self.firsts, [0], [1]
         for r in range(1, len(firsts)):
-            A.append(Fraction(sum(s * A[r - s] for s in firsts[r]), r))
-        return tuple(A)
+            k = 1 + max(K[r - s] for s in firsts[r])
+            C.append(sum(s * C[r - s] * perm(k, k - K[r - s]) for s in firsts[r]) // r)
+            K.append(k)
+        return tuple(K), tuple(C)
+
+    def coefficient(self, n: int) -> Fraction:
+        """A(n), the sum of the maximizers' ordering coefficients, from the lead recurrence."""
+        if not 0 <= n <= self.n_max:
+            raise ValueError(f"n must be in 0..{self.n_max}, got {n}")
+        K, C = self._coefficient_column
+        return Fraction(C[n], factorial(K[n]))
 
     def maximizers(self, n: int) -> tuple[PartitionMultiset, ...]:
         """Every partition of n attaining best[n], rebuilt from the leads.
@@ -188,24 +211,28 @@ class MaxProdTable:
         A lead s starts a maximizer of r (parts non-increasing) exactly when
         s * best[r - s] == best[r]; the rest is then a maximizer of r - s
         with parts <= s.  An explicit stack keeps chains such as 1^n off
-        the call stack.  Each answer is remembered, and a walk that reaches
-        a remembered target r takes its maximizers with largest part <= cap
-        instead of walking on; targets nobody asked for are never filled in,
-        since a fill over every r costs O(n^3) on chain maximizer sets.
+        the call stack, and the parts taken so far are a chain of
+        (part, earlier chain) links, so a step copies nothing and a walk
+        costs O(parts) per maximizer rather than O(parts^2).  Each answer
+        is remembered, and a walk that reaches a remembered target r takes
+        its maximizers with largest part <= cap instead of walking on;
+        targets nobody asked for are never filled in, since a fill over
+        every r costs O(n^3) on chain maximizer sets.
         """
         if not 0 <= n <= self.n_max:
             raise ValueError(f"n must be in 0..{self.n_max}, got {n}")
         known = self._known
         if n not in known:
-            firsts, hits, stack = self.firsts, [], [(n, n, ())]
+            firsts, hits, stack = self.firsts, [], [(n, n, None)]
             while stack:
-                r, cap, acc = stack.pop()
+                r, cap, chain = stack.pop()
                 if r in known:
-                    hits.extend(acc + m.parts for m in known[r] if not m.parts or m.parts[0] <= cap)
+                    head = _unchained(chain)
+                    hits.extend(head + m.parts for m in known[r] if not m.parts or m.parts[0] <= cap)
                 elif r == 0:
-                    hits.append(acc)
+                    hits.append(_unchained(chain))
                 else:
-                    stack.extend((r - s, s, acc + (s,)) for s in firsts[r] if s <= cap)
+                    stack.extend((r - s, s, (s, chain)) for s in firsts[r] if s <= cap)
             # each maximizer is reached once, with its parts already non-increasing
             known[n] = tuple(PartitionMultiset(p) for p in sorted(hits))
         return known[n]
@@ -214,7 +241,7 @@ class MaxProdTable:
         """Full report at n: maximizers, their coefficient and the runner-up."""
         maximizers = self.maximizers(n)
         return MaxProdReport(n, self.best[n], maximizers, len(maximizers) == 1,
-                             self.coefficients[n], self.second[n])
+                             self.coefficient(n), self.second[n])
 
 
 SHARED_TABLES = 8

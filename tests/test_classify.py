@@ -1,5 +1,4 @@
 from fractions import Fraction
-from functools import lru_cache
 from unittest import mock
 
 import pytest
@@ -25,7 +24,7 @@ from eulerprod import (
     weight_from_spec,
 )
 from eulerprod import classify, g_table, maxprod
-from eulerprod.classify import MECH_TABLE, PROBE_FAMILIES, _basic, _pipeline_columns
+from eulerprod.classify import MECH_TABLE, _basic, _pipeline_columns
 from test_maxprod import exception_specs
 from test_qseries import WEIGHT_SPECS
 
@@ -170,8 +169,7 @@ class TestDeltaBranch:
             return g_table(*args)
 
         monkeypatch.setattr(classify, "g_table", counting)
-        monkeypatch.setattr(classify, "_probe_detail",
-                            lru_cache(maxsize=PROBE_FAMILIES)(classify._probe_detail.__wrapped__))
+        classify._probe_detail.cache_clear()
         power, example2 = weight_from_spec("power"), weight_from_spec("example2")
         for E in (E0, exceptions_from_spec("5"), exceptions_from_spec("6,7")):
             _pipeline_columns(E, [8, 11, 14], power, range(1, 4))
@@ -179,6 +177,9 @@ class TestDeltaBranch:
         _pipeline_columns(E0, [8], example2, range(1, 4))
         _pipeline_columns(E0, [8], power, range(1, 5))
         assert len(calls) == 10
+        # one entry is kept: going back to an earlier pair recomputes it, once per call
+        _pipeline_columns(E0, [8, 11, 14], example2, range(1, 4))
+        assert len(calls) == 13
 
     def test_n_bound(self):
         assert delta_branch_n_bound(2) == 8

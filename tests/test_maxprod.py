@@ -1,5 +1,6 @@
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 from unittest import mock
 
 import pytest
@@ -215,19 +216,32 @@ class TestMaxProdTable:
         # the lead recurrence against two sums over enumerated maximizers: the table's and the brute force's
         E = exceptions_from_spec(spec)
         table, walk = MaxProdTable(E, N), max_product_bruteforce_all(E, 28)
-        assert len(table.coefficients) == N + 1
+        most_parts, _ = table._coefficient_column
+        assert len(most_parts) == N + 1
         for n in range(N + 1):
-            assert table.coefficients[n] == _coefficient(table.maximizers(n))
+            assert table.coefficient(n) == _coefficient(table.maximizers(n))
+            assert most_parts[n] == max(m.part_count for m in table.maximizers(n))
             if n <= 28:
-                assert table.coefficients[n] == walk[n].coefficient
+                assert table.coefficient(n) == walk[n].coefficient
 
     def test_coefficient_column_on_a_chain(self):
         # with 3 excluded the maximizers of 4 are 4 and 2+2 (1 + 1/2!), those of 8 are 4+4, 4+2+2
-        # and 2+2+2+2 (1/2! + 1/2! + 1/4!); the column is built on first use
+        # and 2+2+2+2 (1/2! + 1/2! + 1/4!), kept as 4! A(8) = 25; the column is built on first use
         table = MaxProdTable(exceptions_from_spec("3"), 8)
-        assert "coefficients" not in vars(table)
-        assert table.coefficients[:5] == (1, 1, 1, 1, Fraction(3, 2))
-        assert table.coefficients[8] == Fraction(25, 24)
+        assert "_coefficient_column" not in vars(table)
+        assert [table.coefficient(n) for n in range(5)] == [1, 1, 1, 1, Fraction(3, 2)]
+        assert table.coefficient(8) == Fraction(25, 24)
+        most_parts, scaled = table._coefficient_column
+        assert (most_parts[8], scaled[8]) == (4, 25)
+        for n in (-1, 9):
+            with pytest.raises(ValueError):
+                table.coefficient(n)
+
+    def test_coefficient_with_a_factorial_denominator(self):
+        # with 2, 4 and 5 excluded the maximizers of 3k, 3k + 1 and 3k + 2 are 3^k, 3^k 1 and 3^k 1 1
+        table = MaxProdTable(exceptions_from_spec("2,4,5"), 3002)
+        assert table.coefficient(3000) == table.coefficient(3001) == Fraction(1, factorial(1000))
+        assert table.coefficient(3002) == Fraction(1, 2 * factorial(1000))
 
 
 class TestSharedTable:
