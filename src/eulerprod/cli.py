@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import csv
 import json
+import os
 import sys
 import time
 from dataclasses import asdict, is_dataclass
@@ -155,34 +156,52 @@ def _run_classify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@contextlib.contextmanager
+def _kept_unless_failed(path: str):
+    """Open path for appending, so that an unwritable path fails at once and an existing file keeps
+    its bytes; if the body raises, remove the file again unless it existed before."""
+    existed = os.path.lexists(path)
+    with open(path, "a", encoding="utf-8"):
+        pass
+    try:
+        yield
+    except BaseException:
+        if not existed:
+            os.remove(path)
+        raise
+
+
 def _run_sweep(args: argparse.Namespace) -> int:
     E = exceptions_from_spec(args.exceptions)
     w = weight_from_spec(args.weights)
-    try:
-        with contextlib.ExitStack() as stack:
-            on_row = None
-            if args.stats is not None:
-                stats = stack.enter_context(open(args.stats, "w", encoding="utf-8"))
+    with contextlib.ExitStack() as stack:
+        if args.out is not None:
+            # an unwritable --out fails before the first row, not after the whole sweep
+            stack.enter_context(_kept_unless_failed(args.out))
+        on_row = None
+        if args.stats is not None:
+            stats = stack.enter_context(open(args.stats, "w", encoding="utf-8"))
 
-                def on_row(ell: int, bits: int | None, n_computed: int, seconds: float) -> None:
-                    path = "certified" if not n_computed else "exact" if bits is None else "bounded"
-                    stats.write(json.dumps({"ell": ell, "path": path, "bits": bits, "n_computed": n_computed,
-                                            "seconds": round(seconds, 6)}) + "\n")
+            def on_row(ell: int, bits: int | None, n_computed: int, seconds: float) -> None:
+                path = "certified" if not n_computed else "exact" if bits is None else "bounded"
+                stats.write(json.dumps({"ell": ell, "path": path, "bits": bits, "n_computed": n_computed,
+                                        "seconds": round(seconds, 6)}) + "\n")
 
+        try:
             grid = sweep(E, w, args.n_max, args.ell_max, jobs=args.jobs,
                          budget_seconds=args.budget_seconds, on_row=on_row)
-    except BudgetExceeded as exc:
+        except BudgetExceeded as exc:
+            if args.out is not None:
+                emit_grid(exc.partial, args.out, args.format)
+                rows_done = exc.partial.ell_range[1]
+                print(f"budget exceeded; wrote partial grid of {rows_done} rows to {args.out}",
+                      file=sys.stderr)
+            else:
+                print(f"budget exceeded: {exc}", file=sys.stderr)
+            return EXIT_BUDGET
         if args.out is not None:
-            emit_grid(exc.partial, args.out, args.format)
-            rows_done = exc.partial.ell_range[1]
-            print(f"budget exceeded; wrote partial grid of {rows_done} rows to {args.out}",
-                  file=sys.stderr)
-        else:
-            print(f"budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    if args.out is not None:
-        emit_grid(grid, args.out, args.format)
-        return EXIT_OK
+            emit_grid(grid, args.out, args.format)
+            return EXIT_OK
     rows = stabilization(grid, default_predictions(grid))
     print("n terminal threshold stabilized predicted agrees")
     for row in rows:

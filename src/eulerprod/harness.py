@@ -21,6 +21,7 @@ from bisect import bisect_right
 from collections import deque
 from contextlib import closing
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
 from typing import Callable, Iterator, Mapping
 
@@ -122,9 +123,11 @@ def _rows(tasks: Iterator[tuple[ExceptionSet, WeightFamily, int, int]],
     """_sign_row over tasks, in order: in this process, or on a pool of workers.
 
     The pool keeps at most 2 rows per worker, and no more than ROW_LAG, in
-    flight, refilled in ell order.  However the stream ends (exhausted,
-    closed early, or a row raising), the pool drops the rows not yet
-    started and joins its workers.
+    flight, refilled in ell order.  A row that computes no column (n_hi = 0)
+    holds its place among them but never goes to the pool: this process
+    answers it in its ell turn.  However the stream ends (exhausted, closed
+    early, or a row raising), the pool drops the rows not yet started and
+    joins its workers.
     """
     if workers == 1:
         yield from map(_sign_row, tasks)
@@ -133,11 +136,15 @@ def _rows(tasks: Iterator[tuple[ExceptionSet, WeightFamily, int, int]],
     from concurrent.futures import ProcessPoolExecutor
 
     pool = ProcessPoolExecutor(max_workers=workers)
+
+    def answer(task: tuple[ExceptionSet, WeightFamily, int, int]) -> Callable[[], tuple]:
+        return pool.submit(_sign_row, task).result if task[3] else partial(_sign_row, task)
+
     try:
-        pending = deque(pool.submit(_sign_row, task) for task in islice(tasks, min(2 * workers, ROW_LAG)))
+        pending = deque(map(answer, islice(tasks, min(2 * workers, ROW_LAG))))
         while pending:
-            yield pending.popleft().result()
-            pending.extend(pool.submit(_sign_row, task) for task in islice(tasks, 1))
+            yield pending.popleft()()
+            pending.extend(map(answer, islice(tasks, 1)))
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -222,14 +229,19 @@ def default_predictions(grid: SignGrid) -> dict[int, Prediction]:
     return _pipeline_columns(grid.exceptions, range(1, grid.n_max + 1), grid.weights)
 
 
+# the end of a csv line per sign, with csv.writer's line terminator
+_CSV_ENDS = {1: ",1\r\n", 0: ",0\r\n", -1: ",-1\r\n"}
+
+
 def _emit_csv(grid: SignGrid, path: str) -> None:
-    lo, _ = grid.ell_range
+    """The lines 'n,ell,sign' of csv.writer, n-major, one write per column n."""
+    lo, hi = grid.ell_range
+    ells = [f",{ell}" for ell in range(lo, hi + 1)]
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["n", "ell", "sign"])
-        for n in range(1, grid.n_max + 1):
-            for offset, row in enumerate(grid.signs):
-                writer.writerow([n, lo + offset, row[n - 1]])
+        handle.write("n,ell,sign\r\n")
+        for n, column in enumerate(zip(*grid.signs), 1):
+            head = str(n)
+            handle.write(head + head.join([ell + _CSV_ENDS[sign] for ell, sign in zip(ells, column)]))
 
 
 def _emit_json(grid: SignGrid, path: str) -> None:

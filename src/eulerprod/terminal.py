@@ -28,7 +28,7 @@ grows by exactly that.
 
 from __future__ import annotations
 
-from math import factorial
+from math import factorial, inf
 
 from .maxprod import MaxProdTable
 from .model import ExceptionSet, WeightFamily, support_view
@@ -125,14 +125,23 @@ class ColumnCertificates:
         self.offsets = slope_one_offsets(w, self.parts)
         # tops[parity][n] = [sign, T, ell, lower bound m * 2^e of 2 max(a, b) at that ell]
         self._tops: tuple[dict[int, list[int]], ...] | None = None
+        # the least row of each parity known to compute nothing; every later row of it computes nothing too
+        self._closed_from = [inf, inf]
+        # _tails[parity][n_hi] = the certified signs of the columns n_hi + 1..n_max.  No proven entry
+        # is ever rewritten, so a tail, once every column in it is proven, never changes
+        self._tails: tuple[dict[int, tuple[int, ...]], ...] = ({}, {})
 
     def width(self, ell: int) -> int:
         """The largest column row ell must compute (0 if none)."""
-        proven = self.proven[ell % 2]
+        parity = ell % 2
+        if ell >= self._closed_from[parity]:
+            return 0
+        proven = self.proven[parity]
         for n in range(self.n_max, 0, -1):
             certified = proven.get(n)
             if certified is None or certified[0] > ell:
                 return n
+        self._closed_from[parity] = ell
         return 0
 
     def _build_tops(self) -> tuple[dict[int, list[int]], ...]:
@@ -160,7 +169,9 @@ class ColumnCertificates:
     def record(self, ell: int, prefix: tuple[int, ...], bounds: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
         """The full row ell from its computed prefix of signs and the upper bounds (hi, e) on p(0..len(prefix) + 1).
 
-        Columns past the prefix take their certified signs.  Each column of
+        Columns past the prefix take their certified signs, a tuple built once
+        per parity and prefix length and shared by every such row; a row with
+        an empty prefix is that tuple itself.  Each column of
         the prefix without a certificate for ell's parity is checked against
         its top term; a computed sign that contradicts a certificate raises
         ArithmeticError.
@@ -190,4 +201,7 @@ class ColumnCertificates:
                 raise ArithmeticError(
                     f"column {n} is certified {certified[1]:+d} but computes {sign:+d} at ell={ell}: "
                     "the certificate is proven, so this is a bug")
-        return prefix + tuple(proven[n][1] for n in range(n_hi + 1, self.n_max + 1))
+        tail = self._tails[parity].get(n_hi)
+        if tail is None:
+            tail = self._tails[parity][n_hi] = tuple(proven[n][1] for n in range(n_hi + 1, self.n_max + 1))
+        return prefix + tail if prefix else tail

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from eulerprod import CheckResult, SuiteReport, exceptions_from_spec, parse_grid_csv, row_signs, weight_from_spec
+from eulerprod import cli
 from eulerprod.cli import main
 from eulerprod.qseries import LADDER_BITS
 
@@ -196,6 +197,21 @@ class TestSweep:
         # from the first row and no row computes a cell
         assert {(row["path"], row["bits"], row["n_computed"]) for row in rows} == {("certified", None, 0)}
 
+    def test_unwritable_out_fails_before_the_first_row(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "sweep", lambda *args, **kwargs: pytest.fail("the sweep ran"))
+        for path in (tmp_path / "missing" / "grid.csv", tmp_path):
+            code, out, err = run(capsys, "sweep", "--n-max", "50", "--ell-max", "600", "--out", str(path))
+            assert code == 2 and out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_sweep_keeps_an_existing_out_file(self, tmp_path, capsys):
+        path = tmp_path / "grid.csv"
+        path.write_bytes(b"earlier\n")
+        code, _, err = run(capsys, "sweep", "--n-max", "1", "--out", str(path))
+        assert code == 2 and err == "error: n_max must be >= 2, got 1\n"
+        assert path.read_bytes() == b"earlier\n"
+
     def test_budget_exceeded(self, tmp_path, capsys):
         path = tmp_path / "partial.csv"
         code, _, err = run(capsys, "sweep", "--n-max", "40", "--ell-max", "300", "--weights", steep_weights(tmp_path),
@@ -224,6 +240,7 @@ class TestSweep:
                              "--ell-max", "40", "--jobs", jobs, "--stats", str(stats), "--out", str(tmp_path / "g.csv"))
         assert code == 2 and out == ""
         assert err == f"error: {info.value}\n"
+        assert not (tmp_path / "g.csv").exists()
         rows = [json.loads(line) for line in stats.read_text().splitlines()]
         assert [(row["ell"], row["path"]) for row in rows] == [(ell, "certified") for ell in range(1, bad_ell)]
 

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import multiprocessing
 import os
@@ -51,8 +53,8 @@ def small_grid():
 @st.composite
 def sign_grids(draw):
     """SignGrids of arbitrary signs, their ell range starting anywhere from 1 up."""
-    n_max = draw(st.integers(1, 8))
-    rows = draw(st.lists(st.tuples(*[st.sampled_from((-1, 0, 1))] * n_max), min_size=1, max_size=8))
+    n_max = draw(st.integers(1, 60))
+    rows = draw(st.lists(st.tuples(*[st.sampled_from((-1, 0, 1))] * n_max), min_size=1, max_size=40))
     lo = draw(st.integers(1, 500))
     return SignGrid(E24, POWER, n_max, (lo, lo + len(rows) - 1), tuple(rows))
 
@@ -230,6 +232,25 @@ class TestSharedPool:
                      on_row=lambda ell, bits, n_computed, seconds: serial.append((bits, n_computed))).signs == full
         assert seen == serial
 
+    def test_zero_width_rows_never_reach_the_pool(self, shared_pool, monkeypatch, tmp_path):
+        # the grid-wide shape: the odd rows from 37 and the even rows from 64 compute nothing
+        # (51 of 100), so only the other 49 go to the pool
+        path = tmp_path / "example2.json"
+        path.write_text(json.dumps({"base": 0, "phi": -1, "psi": 1, "B": 2,
+                                    "overrides": {"2": "ell+alt", "4": "ell-alt"}}))
+        E3, w = exceptions_from_spec("3"), weight_from_spec(f"custom:{path}")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        pools = []
+
+        def borrow(max_workers):
+            pools.append(BorrowedPool(shared_pool))
+            return pools[-1]
+
+        with mock.patch("concurrent.futures.ProcessPoolExecutor", borrow):
+            pooled = sweep(E3, w, 200, 100, jobs=2)
+        assert len(pools) == 1 and len(pools[0].futures) == 49
+        assert pooled.signs == sweep(E3, w, 200, 100).signs
+
 
 class TestStabilization:
     def test_zero_columns_for_sparse_support(self):
@@ -286,6 +307,18 @@ class TestDefaultPredictions:
         assert built == [3 + 6]
 
 
+def csv_writer_bytes(grid):
+    """The csv of a grid as csv.writer writes it, row by row: the reference for the emitted bytes."""
+    handle = io.StringIO(newline="")
+    writer = csv.writer(handle)
+    writer.writerow(["n", "ell", "sign"])
+    lo, _ = grid.ell_range
+    for n in range(1, grid.n_max + 1):
+        for offset, row in enumerate(grid.signs):
+            writer.writerow([n, lo + offset, row[n - 1]])
+    return handle.getvalue().encode("utf-8")
+
+
 class TestEmission:
     def test_csv(self, tmp_path):
         path = tmp_path / "grid.csv"
@@ -302,6 +335,7 @@ class TestEmission:
     def test_csv_round_trip(self, tmp_path_factory, grid):
         path = tmp_path_factory.mktemp("csv") / "grid.csv"
         emit_grid(grid, str(path), "csv")
+        assert path.read_bytes() == csv_writer_bytes(grid)
         lo, hi = grid.ell_range
         assert parse_grid_csv(str(path)) == {(n, ell): grid.sign(n, ell)
                                              for n in range(1, grid.n_max + 1) for ell in range(lo, hi + 1)}

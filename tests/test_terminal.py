@@ -109,3 +109,26 @@ class TestTopTerms:
         assert all(len(proven) == 50 for proven in columns.proven)
         assert max(since for proven in columns.proven for since, _ in proven.values()) == 116 + ROW_LAG
         assert columns.width(130) == 0
+        # a later row of a closed parity computes nothing either; an earlier one still computes its columns
+        assert columns.width(400) == columns.width(401) == 0
+        assert columns.width(2) == 50
+
+    def test_certified_rows_share_one_tail_per_parity(self):
+        E = exceptions_from_spec("2,4")
+        grid = sweep(E, POWER, 50, 400)
+        # rows 123..400 compute nothing: each parity's rows are one shared tuple, and that
+        # tuple is the full row
+        for first in (123, 124):
+            shared = grid.signs[first - 1]
+            assert all(row is shared for row in grid.signs[first - 1::2])
+        for ell in (123, 124, 399, 400):
+            assert grid.signs[ell - 1] == row_signs(E, POWER, ell, 50)[1]
+
+    def test_opposite_parities_keep_their_own_tails(self):
+        # with example2 weights the odd and even rows of E = none settle to different signs at
+        # columns 5, 8 and 11, and both parities compute nothing from row 61 on
+        none, w = exceptions_from_spec("none"), weight_from_spec("example2")
+        grid = sweep(none, w, 12, 120)
+        assert grid.signs == tuple(row_signs(none, w, ell, 12)[1] for ell in range(1, 121))
+        even, odd = grid.signs[-1], grid.signs[-2]
+        assert [n for n in range(1, 13) if odd[n - 1] != even[n - 1]] == [5, 8, 11]
