@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 from typing import Iterable
 
 from .maxprod import MaxProdTable, shared_table
@@ -104,23 +105,29 @@ def classify_basic(E: ExceptionSet, n: int) -> Prediction:
 
 
 def _basic(table: MaxProdTable, n: int) -> Prediction:
-    q = _quotient(table.best, n).q
-    if q > 1:
-        return Prediction(EVENTUALLY_CONCAVE, MECH_Q, {"q": q})
-    if q < 1:
-        return Prediction(EVENTUALLY_CONVEX, MECH_Q, {"q": q})
-    return Prediction(UNKNOWN, MECH_NONE, {"q": q, "note": "quotient ties at 1; try the refined criterion"})
+    best = table.best
+    top, bottom = best[n] * best[n], best[n - 1] * best[n + 1]
+    if top > bottom:
+        return Prediction(EVENTUALLY_CONCAVE, MECH_Q, {"q": Fraction(top, bottom)})
+    if top < bottom:
+        return Prediction(EVENTUALLY_CONVEX, MECH_Q, {"q": Fraction(top, bottom)})
+    return Prediction(UNKNOWN, MECH_NONE,
+                      {"q": Fraction(1), "note": "quotient ties at 1; try the refined criterion"})
 
 
 def _a_ratio(table: MaxProdTable, n: int) -> ARatio:
+    """The ratio from the integer column (K, C), A(m) = C[m] / K[m]!, as one Fraction."""
     below, at, above = (table.maximizers(m) for m in (n - 1, n, n + 1))
-    lo = max(2, n - 1 - _GROWTH_GUARD)
-    strict = all(table.best[m] > table.best[m - 1] for m in range(lo, n + 2 + _GROWTH_GUARD))
+    # best grows strictly at every m in lo..n + 1 + _GROWTH_GUARD
+    lo, flat = max(2, n - 1 - _GROWTH_GUARD), table.flat_steps
+    strict = flat[n + 1 + _GROWTH_GUARD] == flat[lo - 1]
     unique = len(below) == 1, len(at) == 1, len(above) == 1
     balanced = all(unique) and sorted(at[0].parts * 2) == sorted(below[0].parts + above[0].parts)
     record = HypothesisRecord(strict, *unique, balanced)
-    a_below, a_at, a_above = (table.coefficient(m) for m in (n - 1, n, n + 1))
-    return ARatio(n, a_at ** 2 / (a_below * a_above), record)
+    K, C = table._coefficient_column
+    ratio = Fraction(C[n] * C[n] * factorial(K[n - 1]) * factorial(K[n + 1]),
+                     C[n - 1] * C[n + 1] * factorial(K[n]) ** 2)
+    return ARatio(n, ratio, record)
 
 
 def a_ratio(E: ExceptionSet, n: int) -> ARatio:
@@ -146,9 +153,9 @@ def classify_refined(E: ExceptionSet, n: int, weights: WeightFamily | None = Non
 
 def _refined(E: ExceptionSet, table: MaxProdTable, n: int, weights: WeightFamily | None,
              probe_ells: Iterable[int] | None) -> Prediction:
-    qv = _quotient(table.best, n)
-    if qv.q != 1:
-        raise ValueError(f"refined criterion needs quotient 1 at n={n}, got {qv.q}")
+    best = table.best
+    if best[n] * best[n] != best[n - 1] * best[n + 1]:
+        raise ValueError(f"refined criterion needs quotient 1 at n={n}, got {_quotient(best, n).q}")
     if n < 2:
         return Prediction(UNKNOWN, MECH_NONE, {"note": "window n-1, n, n+1 leaves the table"})
     ar = _a_ratio(table, n)
@@ -162,7 +169,7 @@ def _refined(E: ExceptionSet, table: MaxProdTable, n: int, weights: WeightFamily
         return Prediction(UNKNOWN, MECH_NONE, detail)
     if (record.strict_growth and record.unique_at and record.unique_above
             and not record.unique_below and len(table.maximizers(n - 1)) == 2
-            and n % 3 == 2 and not any(member(E, m) for m in (2, 3, 4))):
+            and n % 3 == 2 and _set_facts(E).allows_2_3_4):
         return classify_delta_branch(E, n, weights or PRESETS["power"],
                                      probe_ells if probe_ells is not None else range(1, 13))
     return Prediction(UNKNOWN, MECH_NONE, {"hypotheses": record})
@@ -234,15 +241,46 @@ def classify_delta_branch(E: ExceptionSet, n: int, w: WeightFamily,
     exact probe values and the observed trend.  Neither depends on n or
     on E, so they are computed once per weight family and probe ells.
     """
-    for m in (2, 3, 4):
-        if member(E, m):
-            raise ValueError("branch analysis needs parts 2, 3 and 4 allowed")
+    if not _set_facts(E).allows_2_3_4:
+        raise ValueError("branch analysis needs parts 2, 3 and 4 allowed")
     if n % 3 != 2:
         raise ValueError(f"branch analysis applies to n = 2 mod 3, got {n}")
     probe_ells = tuple(probe_ells)
     if not probe_ells:
         raise ValueError("at least one probe ell is required")
     return Prediction(CONDITIONAL, MECH_DELTA, dict(_probe_detail(w, probe_ells)))
+
+
+@dataclass(frozen=True)
+class _SetFacts:
+    """What the theorem table reads of an exception set, found once per set.
+
+    s2..s5: whether each of 2, 3, 4, 5 is an allowed part; k: the least
+    allowed part >= 2 other than 3; r: the least allowed part above 1, and
+    r_next: whether r + 1 is allowed.  k and r are None past the last part
+    of a finite support set.
+    """
+
+    s2: bool
+    s3: bool
+    s4: bool
+    s5: bool
+    k: int | None
+    r: int | None
+    r_next: bool
+
+    @property
+    def allows_2_3_4(self) -> bool:
+        return self.s2 and self.s3 and self.s4
+
+
+@lru_cache(maxsize=256)
+def _set_facts(E: ExceptionSet) -> _SetFacts:
+    """The facts of E, read once per set; nothing that depends on n is kept."""
+    s2, s3, s4, s5 = (not member(E, m) for m in (2, 3, 4, 5))
+    r = next_allowed(E, 1)
+    k = next_allowed(E, 3) if r == 3 else r
+    return _SetFacts(s2, s3, s4, s5, k, r, r is not None and not member(E, r + 1))
 
 
 def theorem_table(E: ExceptionSet, n: int) -> Prediction:
@@ -253,15 +291,15 @@ def theorem_table(E: ExceptionSet, n: int) -> Prediction:
     not covered (including the open configuration with 2, 4, 5
     excluded but support beyond {1, 3}) comes back unknown.
     """
+    return _theorem_table(_set_facts(E), n)
+
+
+def _theorem_table(facts: _SetFacts, n: int) -> Prediction:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-
-    def in_S(m: int) -> bool:
-        return not member(E, m)
-
-    s2, s3, s4, s5 = in_S(2), in_S(3), in_S(4), in_S(5)
+    s2, s3, s4, s5 = facts.s2, facts.s3, facts.s4, facts.s5
     # parts above n + 1 cannot influence the difference at n
-    support_is_13 = s3 and all(member(E, m) for m in range(2, n + 2) if m != 3)
+    support_is_13 = s3 and (facts.k is None or facts.k > n + 1)
     if support_is_13 and n % 3 == 1:
         return Prediction(ZERO, MECH_S13, {
             "case": "support {1,3}",
@@ -304,8 +342,8 @@ def theorem_table(E: ExceptionSet, n: int) -> Prediction:
         return Prediction(UNKNOWN, MECH_NONE,
                           {"note": "2, 4 and 5 excluded with support beyond {1,3}: open configuration"})
     # 2 is excluded here, so the least allowed part above 1 is at least 3
-    r = next_allowed(E, 1)
-    if r is not None and r <= n + 1 and in_S(r + 1):
+    r = facts.r
+    if r is not None and r <= n + 1 and facts.r_next:
         if n >= (r * (r - 1) * (3 * r - 1) + 4) // 2:
             if n % r == r - 1:
                 return Prediction(EVENTUALLY_CONVEX, MECH_TABLE, {
@@ -333,7 +371,8 @@ def _pipeline_columns(E: ExceptionSet, ns: Iterable[int], weights: WeightFamily 
     """classify_pipeline at each n; the open columns read the shared max-product table of E."""
     if probe_ells is not None:
         probe_ells = tuple(probe_ells)
-    out = {n: theorem_table(E, n) for n in ns}
+    facts = _set_facts(E)
+    out = {n: _theorem_table(facts, n) for n in ns}
     open_ns = [n for n, p in out.items() if p.verdict in (UNKNOWN, CONDITIONAL)]
     if open_ns:
         maxprod = shared_table(E, max(open_ns) + 1 + _GROWTH_GUARD)

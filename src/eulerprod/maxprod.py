@@ -119,9 +119,10 @@ class MaxProdTable:
     coefficients A(n), scaled to integers, from the lead recurrence,
     built the first time report() or the refined criterion needs them.
 
-    The table is prefix-stable: best, leads and maximizers(m) for m up to
-    n_max are the same in any table of E with a larger horizon, which is
-    what lets shared_table() regrow a table in place of the old one.
+    The table is prefix-stable: best, leads, flat_steps and maximizers(m)
+    for m up to n_max are the same in any table of E with a larger
+    horizon, which is what lets shared_table() regrow a table in place of
+    the old one.
     maximizers(n) remembers each answer it gives; see that method.
     """
 
@@ -167,6 +168,15 @@ class MaxProdTable:
                 runner_up = max(runner_up, v if v < best[r] else s * second[r - s])
             second.append(runner_up)
         return tuple(v or None for v in second)
+
+    @cached_property
+    def flat_steps(self) -> tuple[int, ...]:
+        """For every target r, the number of m in 2..r with best[m] <= best[m - 1], so
+        best grows strictly over lo..hi (lo >= 2) exactly when flat_steps[hi] == flat_steps[lo - 1]."""
+        best, flat = self.best, [0] * min(2, len(self.best))
+        for m in range(2, len(best)):
+            flat.append(flat[-1] + (best[m] <= best[m - 1]))
+        return tuple(flat)
 
     @cached_property
     def firsts(self) -> tuple[tuple[int, ...], ...]:

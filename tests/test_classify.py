@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 from unittest import mock
 
@@ -23,8 +25,8 @@ from eulerprod import (
     theorem_table,
     weight_from_spec,
 )
-from eulerprod import classify, g_table, maxprod
-from eulerprod.classify import MECH_TABLE, _basic, _pipeline_columns
+from eulerprod import classify, cli, g_table, maxprod, member, next_allowed
+from eulerprod.classify import MECH_TABLE, Prediction, _a_ratio, _basic, _pipeline_columns
 from test_maxprod import exception_specs
 from test_qseries import WEIGHT_SPECS
 
@@ -301,3 +303,113 @@ class TestPipeline:
             assert classify_pipeline(exceptions_from_spec(espec), n).mechanism == mechanism
         assert len(built) == 4
         assert all("second" not in vars(table) for table in built)
+
+
+def reference_theorem_table(E, n):
+    """The theorem table as a per-column scan: every fact of E is read again with member at each n."""
+    def in_S(m):
+        return not member(E, m)
+
+    s2, s3, s4, s5 = in_S(2), in_S(3), in_S(4), in_S(5)
+    if s3 and all(member(E, m) for m in range(2, n + 2) if m != 3) and n % 3 == 1:
+        return Prediction(ZERO, "s13-identity", {
+            "case": "support {1,3}",
+            "rule": "coefficients repeat in blocks of three, difference vanishes at n = 1 mod 3"})
+    if s2 and s3:
+        if n < 3:
+            return Prediction(UNKNOWN, "none", {"note": "below the stated range n >= 3"})
+        if n % 3 == 0:
+            return Prediction(EVENTUALLY_CONCAVE, MECH_TABLE, {"case": "1,2,3 allowed", "rule": "n = 0 mod 3"})
+        if n % 3 == 1:
+            return Prediction(EVENTUALLY_CONVEX, MECH_TABLE, {"case": "1,2,3 allowed", "rule": "n = 1 mod 3"})
+        if not s4:
+            return Prediction(EVENTUALLY_CONCAVE, MECH_TABLE,
+                              {"case": "1,2,3 allowed, 4 excluded", "rule": "n = 2 mod 3"})
+        return Prediction(CONDITIONAL, MECH_TABLE, {
+            "case": "1,2,3,4 allowed", "rule": "n = 2 mod 3",
+            "note": "sign depends on the weight family; see the branch analysis"})
+    if s2:
+        if n < 5:
+            return Prediction(UNKNOWN, "none", {"note": "below the stated range n >= 5"})
+        if n % 2 == 0:
+            return Prediction(EVENTUALLY_CONCAVE, MECH_TABLE, {"case": "1,2 allowed, 3 excluded", "rule": "even n"})
+        return Prediction(EVENTUALLY_CONVEX, MECH_TABLE, {"case": "1,2 allowed, 3 excluded", "rule": "odd n"})
+    if s3 and not s4:
+        if n % 3 != 1:
+            if n < 4:
+                return Prediction(UNKNOWN, "none", {"note": "below the stated range n >= 4"})
+            if n % 3 == 0:
+                return Prediction(EVENTUALLY_CONCAVE, MECH_TABLE,
+                                  {"case": "1,3 allowed, 2,4 excluded", "rule": "n = 0 mod 3"})
+            return Prediction(EVENTUALLY_CONVEX, MECH_TABLE,
+                              {"case": "1,3 allowed, 2,4 excluded", "rule": "n = 2 mod 3"})
+        if s5:
+            if n < 4:
+                return Prediction(UNKNOWN, "none", {"note": "below the stated range n >= 4"})
+            return Prediction(EVENTUALLY_CONVEX, MECH_TABLE,
+                              {"case": "1,3,5 allowed, 2,4 excluded", "rule": "n = 1 mod 3"})
+        return Prediction(UNKNOWN, "none",
+                          {"note": "2, 4 and 5 excluded with support beyond {1,3}: open configuration"})
+    r = next_allowed(E, 1)
+    if r is not None and r <= n + 1 and in_S(r + 1):
+        start = (r * (r - 1) * (3 * r - 1) + 4) // 2
+        if n < start:
+            return Prediction(UNKNOWN, "none", {"note": f"below the stated range n >= {start}"})
+        case = f"1,{r},{r + 1} allowed, 2..{r - 1} excluded"
+        if n % r == r - 1:
+            return Prediction(EVENTUALLY_CONVEX, MECH_TABLE, {"case": case, "rule": f"n = {r - 1} mod {r}"})
+        return Prediction(EVENTUALLY_CONCAVE, MECH_TABLE, {"case": case, "rule": f"n != {r - 1} mod {r}"})
+    return Prediction(UNKNOWN, "none", {"note": "configuration not covered by the table"})
+
+
+class TestIntegerFastPath:
+    """The per-set facts and the integer criteria against the per-column and Fraction forms they replace."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(exception_specs())
+    def test_matches_the_reference_forms(self, espec):
+        E = exceptions_from_spec(espec)
+        guard = classify._GROWTH_GUARD
+        table = MaxProdTable(E, 81 + guard)
+        best = table.best
+        for n in range(1, 81):
+            assert theorem_table(E, n) == reference_theorem_table(E, n), (espec, n)
+            assert _basic(table, n).detail["q"] == Fraction(best[n] ** 2, best[n - 1] * best[n + 1])
+            if n >= 2:
+                ar = _a_ratio(table, n)
+                a_below, a_at, a_above = (table.coefficient(m) for m in (n - 1, n, n + 1))
+                assert ar.ratio == a_at ** 2 / (a_below * a_above), (espec, n)
+                window = range(max(2, n - 1 - guard), n + 2 + guard)
+                assert ar.hypotheses.strict_growth == all(best[m] > best[m - 1] for m in window), (espec, n)
+
+
+# the 16 subsets of {2,3,4,5} and five sets with parts beyond them
+PIN_SPECS = ("none", "2", "3", "4", "5", "2,3", "2,4", "2,5", "3,4", "3,5", "4,5", "2,3,4", "2,3,5",
+             "2,4,5", "3,4,5", "2,3,4,5", "support:1,3", "support:1,3,4", "powers:2", "multiples:3", "2,4,5,8")
+PIN_N = range(1, 121)
+PIN_DIGEST = "e63a0eeae497f07a1f57aab21bea71c5fa5c2e4cd5d400eae4d30bc38756e660"
+
+
+class TestAnswerPin:
+    """Every classifier answer on 21 sets x 2 weight families x n 1..120, pinned by one digest."""
+
+    def test_every_answer_keeps_its_bytes(self):
+        digest = hashlib.sha256()
+        for spec in PIN_SPECS:
+            E = exceptions_from_spec(spec)
+            for weights in ("power", "example2"):
+                columns = _pipeline_columns(E, PIN_N, weight_from_spec(weights))
+                for n in PIN_N:
+                    digest.update(f"{spec}\t{weights}\t{n}\t{json.dumps(cli._jsonable(columns[n]))}\n".encode())
+        assert digest.hexdigest() == PIN_DIGEST
+
+    @pytest.mark.parametrize("spec,weights,n", [
+        ("none", "power", 8), ("none", "example2", 119), ("2,4,5", "power", 7), ("2,3,4", "power", 11),
+        ("2,3,4,5", "example2", 97), ("support:1,3", "power", 7), ("support:1,3,4", "example2", 26),
+        ("2,4,5,8", "power", 120), ("powers:2", "example2", 1), ("multiples:3", "power", 50),
+    ])
+    def test_one_column_matches_the_batch(self, spec, weights, n):
+        E, w = exceptions_from_spec(spec), weight_from_spec(weights)
+        with mock.patch.dict(maxprod._shared, clear=True):
+            alone = classify_pipeline(E, n, w)
+        assert alone == _pipeline_columns(E, PIN_N, w)[n]

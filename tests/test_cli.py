@@ -1,4 +1,6 @@
+import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -31,6 +33,29 @@ def test_import_leaves_multiprocessing_unloaded():
     result = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "False\n"
+
+
+def run_module(tmp_path, *argv):
+    """python -m eulerprod with only the checkout's src/ on PYTHONPATH."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    return subprocess.run([sys.executable, "-m", "eulerprod", *argv], cwd=tmp_path, env=env,
+                          capture_output=True, timeout=60)
+
+
+class TestModuleEntryPoint:
+    def test_classify_prints_the_probe_bytes(self, tmp_path):
+        result = run_module(tmp_path, "classify", "--exceptions", "none", "--n", "8", "--probe-ell", "1..12")
+        assert result.returncode == 0, result.stderr
+        # the digest the CI smoke test pins for the installed entry point
+        assert hashlib.sha256(result.stdout).hexdigest() == (
+            "798a2b28525878bdf534e5be699798a84bc5c9cc12ceef717c563ae7555133c1")
+
+    def test_bad_probe_range_exits_2_with_one_line(self, tmp_path):
+        result = run_module(tmp_path, "classify", "--exceptions", "none", "--n", "8", "--probe-ell", "a..b")
+        assert result.returncode == 2
+        assert result.stdout == b""
+        lines = result.stderr.decode().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 class TestCompute:
