@@ -16,10 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
 from typing import Iterable
 
-from .maxprod import MaxProdTable, shared_table
+from .maxprod import SHARED_TABLES, MaxProdTable, shared_table
 from .model import PRESETS, ExceptionSet, WeightFamily, member, next_allowed
 from .qseries import g_table
 
@@ -116,7 +115,7 @@ def _basic(table: MaxProdTable, n: int) -> Prediction:
 
 
 def _a_ratio(table: MaxProdTable, n: int) -> ARatio:
-    """The ratio from the integer column (K, C), A(m) = C[m] / K[m]!, as one Fraction."""
+    """The coefficient ratio at n with the hypotheses that back it."""
     below, at, above = (table.maximizers(m) for m in (n - 1, n, n + 1))
     # best grows strictly at every m in lo..n + 1 + _GROWTH_GUARD
     lo, flat = max(2, n - 1 - _GROWTH_GUARD), table.flat_steps
@@ -124,10 +123,7 @@ def _a_ratio(table: MaxProdTable, n: int) -> ARatio:
     unique = len(below) == 1, len(at) == 1, len(above) == 1
     balanced = all(unique) and sorted(at[0].parts * 2) == sorted(below[0].parts + above[0].parts)
     record = HypothesisRecord(strict, *unique, balanced)
-    K, C = table._coefficient_column
-    ratio = Fraction(C[n] * C[n] * factorial(K[n - 1]) * factorial(K[n + 1]),
-                     C[n - 1] * C[n + 1] * factorial(K[n]) ** 2)
-    return ARatio(n, ratio, record)
+    return ARatio(n, table.coefficient_ratio(n), record)
 
 
 def a_ratio(E: ExceptionSet, n: int) -> ARatio:
@@ -274,7 +270,11 @@ class _SetFacts:
         return self.s2 and self.s3 and self.s4
 
 
-@lru_cache(maxsize=256)
+# as many sets as shared_table keeps: a process asks for the facts of at most
+# 4 distinct sets (two in-process passes of each perfbench workload: classify
+# 3, verify 4, grid-wide 1, grid-tall 0; the CLI's verify all 4, every other
+# subcommand 1 or 0)
+@lru_cache(maxsize=SHARED_TABLES)
 def _set_facts(E: ExceptionSet) -> _SetFacts:
     """The facts of E, read once per set; nothing that depends on n is kept."""
     s2, s3, s4, s5 = (not member(E, m) for m in (2, 3, 4, 5))
@@ -291,12 +291,9 @@ def theorem_table(E: ExceptionSet, n: int) -> Prediction:
     not covered (including the open configuration with 2, 4, 5
     excluded but support beyond {1, 3}) comes back unknown.
     """
-    return _theorem_table(_set_facts(E), n)
-
-
-def _theorem_table(facts: _SetFacts, n: int) -> Prediction:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    facts = _set_facts(E)
     s2, s3, s4, s5 = facts.s2, facts.s3, facts.s4, facts.s5
     # parts above n + 1 cannot influence the difference at n
     support_is_13 = s3 and (facts.k is None or facts.k > n + 1)
@@ -371,8 +368,7 @@ def _pipeline_columns(E: ExceptionSet, ns: Iterable[int], weights: WeightFamily 
     """classify_pipeline at each n; the open columns read the shared max-product table of E."""
     if probe_ells is not None:
         probe_ells = tuple(probe_ells)
-    facts = _set_facts(E)
-    out = {n: _theorem_table(facts, n) for n in ns}
+    out = {n: theorem_table(E, n) for n in ns}
     open_ns = [n for n, p in out.items() if p.verdict in (UNKNOWN, CONDITIONAL)]
     if open_ns:
         maxprod = shared_table(E, max(open_ns) + 1 + _GROWTH_GUARD)

@@ -215,6 +215,14 @@ class MaxProdTable:
         K, C = self._coefficient_column
         return Fraction(C[n], factorial(K[n]))
 
+    def coefficient_ratio(self, n: int) -> Fraction:
+        """A(n)^2 / (A(n-1) A(n+1)) as one Fraction of the integer column, for 1 <= n < n_max."""
+        if not 1 <= n < self.n_max:
+            raise ValueError(f"n must be in 1..{self.n_max - 1}, got {n}")
+        K, C = self._coefficient_column
+        return Fraction(C[n] * C[n] * factorial(K[n - 1]) * factorial(K[n + 1]),
+                        C[n - 1] * C[n + 1] * factorial(K[n]) ** 2)
+
     def maximizers(self, n: int) -> tuple[PartitionMultiset, ...]:
         """Every partition of n attaining best[n], rebuilt from the leads.
 

@@ -223,6 +223,9 @@ class TestMaxProdTable:
             assert most_parts[n] == max(m.part_count for m in table.maximizers(n))
             if n <= 28:
                 assert table.coefficient(n) == walk[n].coefficient
+        for n in range(1, N):
+            a = table.coefficient
+            assert table.coefficient_ratio(n) == a(n) ** 2 / (a(n - 1) * a(n + 1))
 
     def test_coefficient_column_on_a_chain(self):
         # with 3 excluded the maximizers of 4 are 4 and 2+2 (1 + 1/2!), those of 8 are 4+4, 4+2+2
@@ -236,6 +239,11 @@ class TestMaxProdTable:
         for n in (-1, 9):
             with pytest.raises(ValueError):
                 table.coefficient(n)
+        # A(4)^2 / (A(3) A(5)) = (3/2)^2 / (1 * 1), and the ratio needs both neighbours
+        assert table.coefficient_ratio(4) == Fraction(9, 4)
+        for n in (0, 8):
+            with pytest.raises(ValueError):
+                table.coefficient_ratio(n)
 
     def test_coefficient_with_a_factorial_denominator(self):
         # with 2, 4 and 5 excluded the maximizers of 3k, 3k + 1 and 3k + 2 are 3^k, 3^k 1 and 3^k 1 1
