@@ -16,7 +16,6 @@ from .classify import (
     Prediction,
     QValue,
     a_ratio,
-    classify_basic,
     classify_delta_branch,
     classify_pipeline,
     classify_refined,

@@ -96,14 +96,8 @@ def q_value(E: ExceptionSet, n: int) -> QValue:
     return _quotient(shared_table(E, n + 1).best, n)
 
 
-def classify_basic(E: ExceptionSet, n: int) -> Prediction:
-    """Quotient criterion: above 1 concave, below 1 convex, tie open."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return _basic(shared_table(E, n + 1), n)
-
-
 def _basic(table: MaxProdTable, n: int) -> Prediction:
+    """Quotient criterion: above 1 concave, below 1 convex, tie open."""
     best = table.best
     top, bottom = best[n] * best[n], best[n - 1] * best[n + 1]
     if top > bottom:
@@ -137,10 +131,10 @@ def classify_refined(E: ExceptionSet, n: int, weights: WeightFamily | None = Non
                      probe_ells: Iterable[int] | None = None) -> Prediction:
     """Coefficient-ratio criterion for the quotient tie Q(n) = 1.
 
-    All hypotheses holding, the ratio decides the verdict.  When only
-    uniqueness below fails, in the one two-maximizer configuration with
-    parts 2, 3, 4 allowed and n = 2 mod 3, the verdict is delegated to
-    the conditional branch analysis.  Anything else stays unknown.
+    With parts 2, 3 and 4 allowed and n = 2 mod 3, the weight-dependent
+    configuration, the verdict is delegated to the conditional branch
+    analysis.  Otherwise, all hypotheses holding, the ratio decides the
+    verdict, and anything else stays unknown.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -154,6 +148,9 @@ def _refined(E: ExceptionSet, table: MaxProdTable, n: int, weights: WeightFamily
         raise ValueError(f"refined criterion needs quotient 1 at n={n}, got {_quotient(best, n).q}")
     if n < 2:
         return Prediction(UNKNOWN, MECH_NONE, {"note": "window n-1, n, n+1 leaves the table"})
+    if n % 3 == 2 and _set_facts(E).allows_2_3_4:
+        return classify_delta_branch(E, n, weights or PRESETS["power"],
+                                     probe_ells if probe_ells is not None else range(1, 13))
     ar = _a_ratio(table, n)
     record = ar.hypotheses
     if record.all_hold():
@@ -163,11 +160,6 @@ def _refined(E: ExceptionSet, table: MaxProdTable, n: int, weights: WeightFamily
         if ar.ratio < 1:
             return Prediction(EVENTUALLY_CONVEX, MECH_A, detail)
         return Prediction(UNKNOWN, MECH_NONE, detail)
-    if (record.strict_growth and record.unique_at and record.unique_above
-            and not record.unique_below and len(table.maximizers(n - 1)) == 2
-            and n % 3 == 2 and _set_facts(E).allows_2_3_4):
-        return classify_delta_branch(E, n, weights or PRESETS["power"],
-                                     probe_ells if probe_ells is not None else range(1, 13))
     return Prediction(UNKNOWN, MECH_NONE, {"hypotheses": record})
 
 
@@ -357,8 +349,8 @@ def classify_pipeline(E: ExceptionSet, n: int, weights: WeightFamily | None = No
     """Table first, then the quotient, then the refined tie-break.
 
     A conditional table verdict (the weight-dependent configuration)
-    falls through to the refined path so the answer carries exact
-    probe data; it is restored if the refined path decides nothing.
+    stays open, so the answer carries exact probe data: there the
+    quotient ties and the refined path takes the branch analysis.
     """
     return _pipeline_columns(E, (n,), weights, probe_ells)[n]
 
@@ -373,17 +365,7 @@ def _pipeline_columns(E: ExceptionSet, ns: Iterable[int], weights: WeightFamily 
     if open_ns:
         maxprod = shared_table(E, max(open_ns) + 1 + _GROWTH_GUARD)
         for n in open_ns:
-            out[n] = _after_table(E, n, out[n], maxprod, weights, probe_ells)
+            basic = _basic(maxprod, n)
+            tied = basic.verdict == UNKNOWN and n >= 2
+            out[n] = _refined(E, maxprod, n, weights, probe_ells) if tied else basic
     return out
-
-
-def _after_table(E: ExceptionSet, n: int, table: Prediction, maxprod: MaxProdTable,
-                 weights: WeightFamily | None, probe_ells: Iterable[int] | None) -> Prediction:
-    """The quotient, then the refined tie-break, after an open theorem-table verdict."""
-    basic = _basic(maxprod, n)
-    if basic.verdict != UNKNOWN or n < 2:
-        return table if table.verdict == CONDITIONAL else basic
-    refined = _refined(E, maxprod, n, weights, probe_ells)
-    if refined.verdict == UNKNOWN and table.verdict == CONDITIONAL:
-        return table
-    return refined

@@ -254,11 +254,10 @@ def _emit_json(grid: SignGrid, path: str) -> None:
             "rows": "ell ascending",
             "columns": "n ascending",
         },
-        "signs": [list(row) for row in grid.signs],
+        "signs": grid.signs,
     }
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, sort_keys=True, separators=(",", ":"))
-        handle.write("\n")
+        handle.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def _emit_pbm(grid: SignGrid, path: str) -> None:

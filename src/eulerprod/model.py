@@ -174,7 +174,10 @@ def next_allowed(E: ExceptionSet, m: int) -> int | None:
     return k
 
 
-@lru_cache(maxsize=4096)
+# room for every lookup of the one caller, check_g_bounds: the oracles suite (and so verify
+# all) asks for 1,000 distinct (E, n), 10 battery sets x n 1..100, each read 16 times (twice
+# at each of 8 ells); no other subcommand or perfbench workload checks the g-envelope
+@lru_cache(maxsize=1024)
 def _allowed_divisors(E: ExceptionSet, n: int) -> tuple[int, ...]:
     """Ascending divisors of n that are allowed parts; one scan per (E, n), since the
     g-envelope check asks for the same n at every ell."""

@@ -157,11 +157,13 @@ _CONSECUTIVE_PAIRS = (
 )
 
 
-def _closed_form_agrees(cf: MaxProdReport | None, dp: MaxProdReport) -> bool:
-    # the case analyses do not derive runner-up products, so skip that field
-    return (cf is not None and cf.n == dp.n and cf.product == dp.product
-            and cf.maximizers == dp.maximizers and cf.unique == dp.unique
-            and cf.coefficient == dp.coefficient)
+def _closed_form_agrees(cf: MaxProdReport | None, table: MaxProdTable, n: int) -> bool:
+    # the case analyses do not derive runner-up products, so the table's runner-up column is not read
+    if cf is None or cf.n != n:
+        return False
+    maximizers = table.maximizers(n)
+    return (cf.product == table.best[n] and cf.maximizers == maximizers
+            and cf.unique == (len(maximizers) == 1) and cf.coefficient == table.coefficient(n))
 
 
 def _closed_form_failures(espec: str, lo: int, hi: int) -> list[str]:
@@ -169,7 +171,7 @@ def _closed_form_failures(espec: str, lo: int, hi: int) -> list[str]:
     E = exceptions_from_spec(espec)
     table = MaxProdTable(E, hi)
     return [f"E={{{espec}}} n={n}" for n in range(lo, hi + 1)
-            if not _closed_form_agrees(closed_form_max(E, n), table.report(n))]
+            if not _closed_form_agrees(closed_form_max(E, n), table, n)]
 
 
 def _suite_lemmas() -> SuiteReport:
@@ -192,7 +194,7 @@ def _suite_lemmas() -> SuiteReport:
     for espec, a2 in (("2", 3), ("2,4", 3), ("2,3", 4), ("2,3,4", 5)):
         table = MaxProdTable(exceptions_from_spec(espec), 40)
         for n in range(1, 41):
-            for m in table.report(n).maximizers:
+            for m in table.maximizers(n):
                 if any(p >= 2 * a2 for p in m.parts):
                     failures.append(f"E={{{espec}}} n={n}: part >= {2 * a2} in {m.parts}")
     checks.append(_result("maximizer-part-ceiling", failures,
@@ -202,7 +204,7 @@ def _suite_lemmas() -> SuiteReport:
     for espec, a2 in (("2", 3), ("2,4", 3), ("2,3", 4)):
         table = MaxProdTable(exceptions_from_spec(espec), 40)
         for n in range(1, 41):
-            for m in table.report(n).maximizers:
+            for m in table.maximizers(n):
                 for part, mult in m.multiplicities().items():
                     if part != a2 and mult >= a2:
                         failures.append(f"E={{{espec}}} n={n}: {part}^{mult} in {m.parts}")

@@ -15,7 +15,6 @@ from eulerprod import (
     ZERO,
     MaxProdTable,
     a_ratio,
-    classify_basic,
     classify_delta_branch,
     classify_pipeline,
     classify_refined,
@@ -61,15 +60,19 @@ class TestQuotient:
             q_value(E0, 0)
 
 
+def basic(E, n):
+    return _basic(MaxProdTable(E, n + 1), n)
+
+
 class TestBasic:
     def test_decides_when_quotient_leaves_one(self):
-        p = classify_basic(E24, 6)
+        p = basic(E24, 6)
         assert p.verdict == EVENTUALLY_CONCAVE and p.detail["q"] == Fraction(9, 5)
-        p = classify_basic(E24, 7)
+        p = basic(E24, 7)
         assert p.verdict == EVENTUALLY_CONVEX
 
     def test_open_when_quotient_ties(self):
-        assert classify_basic(E0, 5).verdict == UNKNOWN
+        assert basic(E0, 5).verdict == UNKNOWN
 
 
 class TestARatio:
@@ -287,6 +290,23 @@ class TestPipeline:
             expected = _pipeline_columns(E, range(1, 41), None)
         with mock.patch.dict(maxprod._shared, clear=True):
             assert {n: classify_pipeline(E, n) for n in order} == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(exception_specs())
+    def test_conditional_columns_have_the_delta_branch_shape(self, espec):
+        # the refined path sends every such column to the probes on the set's facts alone, which
+        # stands in for this shape: a quotient tie, one maximizer at n and n + 1, two at n - 1
+        E = exceptions_from_spec(espec)
+        table = MaxProdTable(E, 121 + classify._GROWTH_GUARD)
+        allows_2_3_4 = not any(member(E, m) for m in (2, 3, 4))
+        for n in range(1, 121):
+            conditional = allows_2_3_4 and n % 3 == 2 and n >= 5
+            assert (theorem_table(E, n).verdict == CONDITIONAL) == conditional, (espec, n)
+            if conditional:
+                assert _basic(table, n).detail["q"] == 1, (espec, n)
+                h = _a_ratio(table, n).hypotheses
+                assert h.strict_growth and h.unique_at and h.unique_above and not h.unique_below, (espec, n)
+                assert len(table.maximizers(n - 1)) == 2, (espec, n)
 
     @pytest.mark.usefixtures("empty_shared_tables")
     def test_open_columns_never_build_runner_ups(self, monkeypatch):

@@ -11,6 +11,7 @@ from eulerprod import CheckResult, SuiteReport, exceptions_from_spec, parse_grid
 from eulerprod import cli
 from eulerprod.cli import main
 from eulerprod.qseries import LADDER_BITS
+from test_pins import DIGESTS
 
 
 def steep_weights(tmp_path):
@@ -46,9 +47,8 @@ class TestModuleEntryPoint:
     def test_classify_prints_the_probe_bytes(self, tmp_path):
         result = run_module(tmp_path, "classify", "--exceptions", "none", "--n", "8", "--probe-ell", "1..12")
         assert result.returncode == 0, result.stderr
-        # the digest the CI smoke test pins for the installed entry point
-        assert hashlib.sha256(result.stdout).hexdigest() == (
-            "798a2b28525878bdf534e5be699798a84bc5c9cc12ceef717c563ae7555133c1")
+        # the digest the CI smoke test pins for the module entry point
+        assert hashlib.sha256(result.stdout).hexdigest() == DIGESTS["module.txt"]
 
     def test_bad_probe_range_exits_2_with_one_line(self, tmp_path):
         result = run_module(tmp_path, "classify", "--exceptions", "none", "--n", "8", "--probe-ell", "a..b")
