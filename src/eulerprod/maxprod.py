@@ -301,16 +301,19 @@ def max_product(E: ExceptionSet, n: int) -> MaxProdReport:
 def max_product_bruteforce_all(E: ExceptionSet, n_max: int) -> tuple[MaxProdReport, ...]:
     """Reports for every target 0..n_max by one exhaustive walk; refuses large targets.
 
-    Every non-increasing sequence of allowed parts with sum at most n_max is
-    a partition of its own sum, and part 1 is always allowed, so the walk for
-    n_max visits each partition of every smaller target once.
+    Part 1 is always allowed and multiplies nothing, so the partitions of n
+    are those of each t <= n into allowed parts >= 2, padded with n - t ones.
+    Every non-increasing sequence of allowed parts >= 2 with sum at most
+    n_max is a partition of its own sum, so the walk visits each of them
+    once; one pass over n then carries the best product over t <= n, the
+    best product below it and the partitions attaining it.
     """
     if n_max < 0:
         raise ValueError(f"n must be >= 0, got {n_max}")
     if n_max > BRUTE_FORCE_BOUND:
         raise ValueError(f"brute force is capped at n <= {BRUTE_FORCE_BOUND}, got {n_max}")
-    parts = support_view(E, n_max) if n_max >= 1 else ()
-    # per target: best product, best product below it (0 if none), partitions attaining best
+    parts = support_view(E, n_max)[1:] if n_max >= 1 else ()
+    # per sum t of parts >= 2: best product (0 if none), best product below it (0 if none), partitions attaining best
     best = [0] * (n_max + 1)
     second = [0] * (n_max + 1)
     hits: list[list[tuple[int, ...]]] = [[] for _ in range(n_max + 1)]
@@ -326,7 +329,18 @@ def max_product_bruteforce_all(E: ExceptionSet, n_max: int) -> tuple[MaxProdRepo
             second[total] = product
         stack.extend((total + s, s, acc + (s,), product * s)
                      for s in parts[:bisect_right(parts, min(n_max - total, cap))])
-    return tuple(_assemble(n, best[n], hits[n], second[n] or None) for n in range(n_max + 1))
+    # over t <= n: the best product, the best below it (0 if none) and (t, partition) for each one attaining it
+    reports, top, below, kept = [], 0, 0, []
+    for n in range(n_max + 1):
+        if best[n] > top:
+            top, below, kept = best[n], top, []
+        if best[n] == top:
+            below = max(below, second[n])
+            kept.extend((n, acc) for acc in hits[n])
+        else:
+            below = max(below, best[n])
+        reports.append(_assemble(n, top, [acc + (1,) * (n - t) for t, acc in kept], below or None))
+    return tuple(reports)
 
 
 def max_product_bruteforce(E: ExceptionSet, n: int) -> MaxProdReport:

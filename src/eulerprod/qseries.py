@@ -20,13 +20,7 @@ from math import factorial
 from operator import add, ge
 from typing import Iterator, Sequence
 
-from .model import (
-    ExceptionSet,
-    WeightFamily,
-    largest_S_divisor,
-    sigma_E1,
-    support_view,
-)
+from .model import ExceptionSet, WeightFamily, _allowed_divisors, support_view
 
 
 @dataclass(frozen=True)
@@ -268,16 +262,19 @@ def row_signs(E: ExceptionSet, w: WeightFamily, ell: int,
 def coeffs_by_product(E: ExceptionSet, w: WeightFamily, ell: int, N: int) -> PartitionTable:
     """Coefficients by multiplying out the truncated factor series.
 
-    Each allowed part m contributes sum_j C(f+j-1, j) q^(m j) with
+    Each allowed part m >= 2 contributes sum_j C(f+j-1, j) q^(m j) with
     f = f_ell(m); the binomials are built incrementally so no factorial
-    ever appears.
+    ever appears.  The factors are multiplied largest part first, so the
+    early products are sparse and their zero coefficients are skipped.
+    Part 1 comes last: f_ell(1) = 1, so its series is all ones and
+    multiplying by it takes running sums.
     """
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
     coeffs = [0] * (N + 1)
     coeffs[0] = 1
     if N >= 1:
-        for m in support_view(E, N):
+        for m in reversed(support_view(E, N)[1:]):
             f = w.eval(ell, m)
             series = [1]
             c = 1
@@ -291,7 +288,7 @@ def coeffs_by_product(E: ExceptionSet, w: WeightFamily, ell: int, N: int) -> Par
                     if coeffs[i]:
                         out[i + shift] += coeffs[i] * cj
             coeffs = out
-    return PartitionTable(E, w, ell, tuple(coeffs))
+    return PartitionTable(E, w, ell, tuple(accumulate(coeffs)))
 
 
 def delta(t: PartitionTable, n: int) -> DeltaValue:
@@ -324,8 +321,9 @@ def check_g_bounds(gt: GTable, n: int) -> bool:
     """Exact envelope (n_S)^(phi+1) <= g(n) <= sigma_E1(n) * (n_S)^psi."""
     if not 1 <= n <= gt.horizon:
         raise ValueError(f"n must lie in 1..{gt.horizon}, got {n}")
-    ns = largest_S_divisor(gt.exceptions, n)
+    allowed = _allowed_divisors(gt.exceptions, n)
+    ns = allowed[-1]
     phi = gt.weights.phi(gt.ell)
     psi = gt.weights.psi(gt.ell)
     g = gt.values[n]
-    return ns ** (phi + 1) <= g <= sigma_E1(gt.exceptions, n) * ns ** psi
+    return ns ** (phi + 1) <= g <= sum(allowed) * ns ** psi

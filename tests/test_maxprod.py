@@ -25,15 +25,22 @@ from eulerprod.maxprod import SHARED_TABLES, _coefficient, shared_table
 from eulerprod.suites import _closed_form_agrees
 
 
+def _atom_lists(lo):
+    return st.lists(st.integers(lo, 30), min_size=1, max_size=5).map(lambda a: ",".join(map(str, a)))
+
+
 def exception_specs():
-    """Spec strings over the whole grammar: atoms, powers:, multiples:, '+' unions and support:."""
-    atoms = st.lists(st.integers(2, 30), min_size=1, max_size=5).map(lambda a: ",".join(map(str, a)))
-    token = st.one_of(atoms, st.integers(2, 7).map("powers:{}".format),
+    """Spec strings over the whole grammar: atoms, powers:, multiples:, '+' unions and support:.
+
+    Atoms from 5 up form a branch of their own: those sets allow 2, 3 and 4, the only
+    configuration with delta-branch columns, which the other branches rarely draw.
+    """
+    token = st.one_of(_atom_lists(2), st.integers(2, 7).map("powers:{}".format),
                       st.integers(2, 9).map("multiples:{}".format))
     unions = st.lists(token, min_size=1, max_size=3).map(" + ".join)
     supports = st.sets(st.integers(2, 40), max_size=6).map(
         lambda kept: "support:" + ",".join(map(str, [1, *sorted(kept)])))
-    return st.one_of(st.sampled_from(BATTERY), unions, supports)
+    return st.one_of(st.sampled_from(BATTERY), unions, supports, _atom_lists(5))
 
 
 def reference_reports(E, N):
@@ -198,6 +205,13 @@ class TestMaxProdTable:
         table = MaxProdTable(E, N)
         assert table.report(n) == max_product_bruteforce(E, n)
         assert table.best[:n + 1] == max_product_values(E, n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(spec=exception_specs(), N=st.integers(0, 24))
+    def test_walk_equals_the_all_parts_reference(self, spec, N):
+        # the walk over parts >= 2 padded with ones against the plain DP, with no table in between
+        E = exceptions_from_spec(spec)
+        assert max_product_bruteforce_all(E, N) == tuple(reference_reports(E, N))
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())

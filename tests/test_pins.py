@@ -43,8 +43,8 @@ def count(rows, path, bits=None, n_computed=None):
 
 
 def test_the_workflow_pins_every_digest_read_here():
-    assert set(DIGESTS) == {"tall.csv", "tall.json", "tall.pbm", "tie.csv", "walk.txt", "probes.txt",
-                            "module.txt"}
+    assert set(DIGESTS) == {"verify.txt", "tall.csv", "tall.json", "tall.pbm", "tie.csv", "walk.txt",
+                            "probes.txt", "module.txt"}
 
 
 def test_verify_all_with_timings(capsys):
@@ -54,6 +54,7 @@ def test_verify_all_with_timings(capsys):
     assert code == 1 and len(lines) == 29
     assert [line.split(":")[0] for line in lines if line.startswith("FAIL")] == [
         "FAIL examples/alternating-weight-oscillation"]
+    assert sha256(out.encode()) == DIGESTS["verify.txt"]
     timings = err.splitlines()
     assert len(timings) == 7
     assert all(re.fullmatch(r"(oracles|maxprod|lemmas|q-tables|theorems|figure1|examples) \d+\.\d{3}", line)

@@ -52,12 +52,19 @@ def weight_files(draw):
     overrides = draw(st.dictionaries(st.integers(2, 12).map(str), _override_formulas(), max_size=3))
     if overrides or draw(st.booleans()):
         schema["overrides"] = overrides
+    return _weight_file(schema)
+
+
+def _weight_file(schema):
+    """custom:<path> of a new weight file holding schema."""
     with tempfile.NamedTemporaryFile("w", suffix=".json", dir=_WEIGHT_DIR.name, delete=False) as handle:
         json.dump(schema, handle)
     return f"custom:{handle.name}"
 
 
 WEIGHT_SPECS = st.one_of(st.sampled_from(PRESETS), weight_files())
+# a custom family whose part 2 has its own alternating exponent
+PART_2_OVERRIDE = _weight_file({"base": 0, "phi": -1, "psi": 1, "B": 2, "overrides": {"2": "ell+alt"}})
 
 
 def test_unit_weights_give_partition_numbers():
@@ -81,6 +88,8 @@ def test_product_path_matches_recurrence():
 
 @settings(max_examples=40, deadline=None)
 @given(exception_specs(), WEIGHT_SPECS, st.integers(1, 6), st.integers(0, 30))
+@example("support:1,3,4,9", "example2", 5, 30)
+@example("3,7", PART_2_OVERRIDE, 3, 30)
 def test_product_path_matches_recurrence_over_the_grammar(espec, wspec, ell, N):
     E, w = exceptions_from_spec(espec), weight_from_spec(wspec)
     assert coeffs_by_recurrence(E, w, ell, N).coeffs == coeffs_by_product(E, w, ell, N).coeffs
