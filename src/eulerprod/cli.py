@@ -22,7 +22,7 @@ from fractions import Fraction
 from .classify import classify_pipeline
 from .harness import BudgetExceeded, default_predictions, emit_grid, stabilization, sweep
 from .maxprod import MaxProdReport, closed_form_max, max_product
-from .model import exceptions_from_spec, weight_from_spec
+from .model import _parse_positive, exceptions_from_spec, weight_from_spec
 from .qseries import coeffs_by_recurrence, delta
 from .suites import SUITE_IDS, verify_suite
 
@@ -58,7 +58,7 @@ def _parse_probe_range(text: str) -> range:
     lo, sep, hi = text.partition("..")
     if not sep:
         raise ValueError(f"probe range must look like 'a..b', got {text!r}")
-    start, stop = int(lo), int(hi)
+    start, stop = _parse_positive(lo, text), _parse_positive(hi, text)
     if start < 1 or stop < start:
         raise ValueError(f"probe range {text!r} is empty or starts below 1")
     return range(start, stop + 1)

@@ -143,14 +143,6 @@ def member(E: ExceptionSet, n: int) -> bool:
     return any(fam.member(n) for fam in E.families)
 
 
-def enumerate_members(E: ExceptionSet, limit: int) -> list[int]:
-    """Sorted exceptions in [1, limit], built generatively per family."""
-    found = {a for a in E.atoms if a <= limit}
-    for fam in E.families:
-        found.update(fam.members_up_to(limit))
-    return sorted(found)
-
-
 # room for one verify all, the most varied caller: a pass makes 757 calls over 87 distinct
 # (E, horizon), horizons up to 158; a grid-tall pass makes 125 calls on 1 key, grid-wide 53
 # on 2 and a classify pass 19 on 8
@@ -159,7 +151,9 @@ def support_view(E: ExceptionSet, horizon: int) -> tuple[int, ...]:
     """The allowed parts in [1, horizon], ascending (always starts at 1)."""
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    excluded = set(enumerate_members(E, horizon))
+    excluded = set(E.atoms)
+    for fam in E.families:
+        excluded.update(fam.members_up_to(horizon))
     return tuple(n for n in range(1, horizon + 1) if n not in excluded)
 
 
@@ -191,22 +185,16 @@ def _allowed_divisors(E: ExceptionSet, n: int) -> tuple[int, ...]:
     return tuple(d for d in divisors(n) if not member(E, d))
 
 
-def sigma_E1(E: ExceptionSet, n: int) -> int:
-    """Sum of the divisors of n that are allowed parts."""
-    return sum(_allowed_divisors(E, n))
-
-
-def largest_S_divisor(E: ExceptionSet, n: int) -> int:
-    """Largest divisor of n that is an allowed part; at worst 1, which is never excluded."""
-    return _allowed_divisors(E, n)[-1]
-
-
-_TOKEN = re.compile(r"\d+$")
+# ASCII decimal digits only, as in override keys and exponent formulas; int() alone would also
+# read '1_0' and other scripts' digits (U+FF12, fullwidth 2).  The CLI's probe range reads its
+# bounds here too
+_TOKEN = re.compile(r"[0-9]+")
 
 
 def _parse_positive(token: str, context: str) -> int:
-    if not _TOKEN.match(token.strip()):
-        raise ValueError(f"bad token {token.strip()!r} in {context!r}")
+    token = token.strip()
+    if not _TOKEN.fullmatch(token):
+        raise ValueError(f"bad token {token!r} in {context!r}")
     return int(token)
 
 

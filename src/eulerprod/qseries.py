@@ -318,7 +318,8 @@ def check_bounds(t: PartitionTable, n: int, maxprod_M: int, parts_count_k: int) 
 
 
 def check_g_bounds(gt: GTable, n: int) -> bool:
-    """Exact envelope (n_S)^(phi+1) <= g(n) <= sigma_E1(n) * (n_S)^psi."""
+    """Exact envelope (n_S)^(phi+1) <= g(n) <= sigma(n) * (n_S)^psi, where n_S is the largest
+    allowed divisor of n and sigma(n) the sum of the allowed divisors."""
     if not 1 <= n <= gt.horizon:
         raise ValueError(f"n must lie in 1..{gt.horizon}, got {n}")
     allowed = _allowed_divisors(gt.exceptions, n)

@@ -10,14 +10,8 @@ import time
 
 import pytest
 
-from eulerprod import (
-    classify_pipeline,
-    delta_branch_n_bound,
-    exceptions_from_spec,
-    sweep,
-    verify_suite,
-    weight_from_spec,
-)
+from eulerprod import classify_pipeline, exceptions_from_spec, sweep, verify_suite, weight_from_spec
+from eulerprod.classify import delta_branch_n_bound
 
 
 @pytest.fixture(scope="session")

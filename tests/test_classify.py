@@ -8,24 +8,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eulerprod import (
+    MaxProdTable,
+    a_ratio,
+    classify_pipeline,
+    exceptions_from_spec,
+    next_allowed,
+    q_value,
+    weight_from_spec,
+)
+from eulerprod import classify, cli, maxprod
+from eulerprod.classify import (
     CONDITIONAL,
     EVENTUALLY_CONCAVE,
     EVENTUALLY_CONVEX,
+    MECH_TABLE,
     UNKNOWN,
     ZERO,
-    MaxProdTable,
-    a_ratio,
+    Prediction,
+    _a_ratio,
+    _basic,
+    _pipeline_columns,
     classify_delta_branch,
-    classify_pipeline,
     classify_refined,
     delta_branch_n_bound,
-    exceptions_from_spec,
-    q_value,
     theorem_table,
-    weight_from_spec,
 )
-from eulerprod import classify, cli, g_table, maxprod, member, next_allowed
-from eulerprod.classify import MECH_TABLE, Prediction, _a_ratio, _basic, _pipeline_columns
+from eulerprod.model import member
+from eulerprod.qseries import g_table
 from test_maxprod import exception_specs
 from test_qseries import WEIGHT_SPECS
 

@@ -7,10 +7,11 @@ from pathlib import Path
 
 import pytest
 
-from eulerprod import CheckResult, SuiteReport, exceptions_from_spec, parse_grid_csv, row_signs, weight_from_spec
+from eulerprod import exceptions_from_spec, parse_grid_csv, row_signs, weight_from_spec
 from eulerprod import cli
 from eulerprod.cli import main
 from eulerprod.qseries import LADDER_BITS
+from eulerprod.suites import CheckResult, SuiteReport
 from test_pins import DIGESTS
 
 
@@ -154,6 +155,13 @@ class TestClassify:
     def test_bad_probe_range(self, capsys):
         code, _, err = run(capsys, "classify", "--n", "8", "--probe-ell", "5")
         assert code == 2 and "error:" in err
+
+    # int() alone would probe ell 10..12 and 3..4 here
+    @pytest.mark.parametrize("probes", ["1_0..1_2", " \uff13..4", "1..\u0664"])
+    def test_probe_range_takes_ascii_digits_only(self, capsys, probes):
+        code, out, err = run(capsys, "classify", "--n", "8", "--probe-ell", probes)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 class TestSweep:

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from test_pins import DIGESTS, sha256
+
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
@@ -20,3 +22,5 @@ def test_demo_runs(demo, tmp_path):
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip()
+    # the digest the CI smoke test pins for this demo's stdout
+    assert sha256(result.stdout.encode()) == DIGESTS[f"{demo.stem}.txt"]

@@ -15,11 +15,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eulerprod import (
-    BATTERY,
     BudgetExceeded,
     MaxProdTable,
-    SignGrid,
-    WeightFamily,
     classify_pipeline,
     coeffs_by_recurrence,
     default_predictions,
@@ -33,8 +30,10 @@ from eulerprod import (
     weight_from_spec,
 )
 from eulerprod import harness
-from eulerprod.harness import _worker_count
+from eulerprod.harness import SignGrid, _worker_count
+from eulerprod.model import WeightFamily
 from eulerprod.qseries import LADDER_BITS
+from eulerprod.suites import BATTERY
 from test_maxprod import exception_specs
 from test_qseries import WEIGHT_SPECS
 

@@ -8,21 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eulerprod import (
-    BATTERY,
     MaxProdReport,
     MaxProdTable,
-    PartitionMultiset,
     closed_form_max,
     exceptions_from_spec,
     max_product,
     max_product_bruteforce,
     max_product_bruteforce_all,
     max_product_values,
-    member,
 )
 from eulerprod import maxprod
-from eulerprod.maxprod import SHARED_TABLES, _coefficient, shared_table
-from eulerprod.suites import _closed_form_agrees
+from eulerprod.maxprod import SHARED_TABLES, PartitionMultiset, _coefficient, shared_table
+from eulerprod.model import member
+from eulerprod.suites import BATTERY, _closed_form_agrees
 
 
 def _atom_lists(lo):

@@ -5,23 +5,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from eulerprod import (
+from eulerprod import exceptions_from_spec, next_allowed, weight_from_spec
+from eulerprod.model import (
+    MAX_WEIGHT_BITS,
     ExceptionSet,
     MultiplesOf,
     PowersOf,
     SupportComplement,
     WeightFamily,
+    _allowed_divisors,
+    _linear_form,
     divisors,
-    enumerate_members,
-    exceptions_from_spec,
-    largest_S_divisor,
     member,
-    next_allowed,
-    sigma_E1,
     support_view,
-    weight_from_spec,
 )
-from eulerprod.model import MAX_WEIGHT_BITS, _linear_form
 from test_maxprod import exception_specs
 
 
@@ -41,30 +38,36 @@ def test_divisors_rejects_nonpositive():
         divisors(0)
 
 
+def excluded(E, limit):
+    """The exceptions in [1, limit], read off support_view as its complement."""
+    allowed = set(support_view(E, limit))
+    return [n for n in range(1, limit + 1) if n not in allowed]
+
+
 class TestExceptionGrammar:
     def test_empty_forms(self):
         for text in ("", "none", "empty"):
             E = exceptions_from_spec(text)
-            assert enumerate_members(E, 50) == []
+            assert excluded(E, 50) == []
             assert E.spec_text == "none"
 
     def test_atom_list(self):
         E = exceptions_from_spec("2,4")
-        assert enumerate_members(E, 10) == [2, 4]
+        assert excluded(E, 10) == [2, 4]
         assert E.spec_text == "2,4"
 
     def test_powers(self):
         E = exceptions_from_spec("powers:2")
-        assert enumerate_members(E, 40) == [2, 4, 8, 16, 32]
+        assert excluded(E, 40) == [2, 4, 8, 16, 32]
         assert member(E, 64) and not member(E, 6)
 
     def test_multiples(self):
         E = exceptions_from_spec("multiples:3")
-        assert enumerate_members(E, 13) == [3, 6, 9, 12]
+        assert excluded(E, 13) == [3, 6, 9, 12]
 
     def test_union(self):
         E = exceptions_from_spec("3 + powers:5")
-        assert enumerate_members(E, 30) == [3, 5, 25]
+        assert excluded(E, 30) == [3, 5, 25]
 
     def test_support_form(self):
         E = exceptions_from_spec("support:1,3")
@@ -75,7 +78,10 @@ class TestExceptionGrammar:
         with pytest.raises(ValueError):
             exceptions_from_spec("support:1,3 + 2")
 
-    @pytest.mark.parametrize("bad", ["1", "0", "powers:1", "multiples:1", "x", "support:2,3", "powers:"])
+    # from "1_0" on, int() alone would read each number; the grammar takes ASCII decimal digits only
+    @pytest.mark.parametrize("bad", ["1", "0", "powers:1", "multiples:1", "x", "support:2,3", "powers:",
+                                     "1_0", "\uff12", "2,\u0664", "powers:\u0663", "multiples:\u0663",
+                                     "support:1,\uff13"])
     def test_rejects_bad_tokens(self, bad):
         with pytest.raises(ValueError):
             exceptions_from_spec(bad)
@@ -96,6 +102,13 @@ def test_family_validation():
 
 def test_support_view_lists_complement():
     assert support_view(exceptions_from_spec("2,4"), 8) == (1, 3, 5, 6, 7, 8)
+
+
+@given(exception_specs(), st.integers(1, 200))
+def test_support_view_agrees_with_member(espec, horizon):
+    # support_view lists each family's members; member tests one n at a time and is the reference
+    E = exceptions_from_spec(espec)
+    assert support_view(E, horizon) == tuple(n for n in range(1, horizon + 1) if not member(E, n))
 
 
 class TestNextAllowed:
@@ -153,7 +166,7 @@ class TestNextAllowed:
     ("support:1,3", 9, 4),
 ])
 def test_sigma_restricted_divisor_sum(espec, n, expected):
-    assert sigma_E1(exceptions_from_spec(espec), n) == expected
+    assert sum(_allowed_divisors(exceptions_from_spec(espec), n)) == expected
 
 
 @pytest.mark.parametrize("espec,n,expected", [
@@ -166,7 +179,7 @@ def test_sigma_restricted_divisor_sum(espec, n, expected):
     ("support:1,3", 10, 1),
 ])
 def test_largest_allowed_divisor(espec, n, expected):
-    assert largest_S_divisor(exceptions_from_spec(espec), n) == expected
+    assert _allowed_divisors(exceptions_from_spec(espec), n)[-1] == expected
 
 
 class TestWeightFamilies:

@@ -1,6 +1,7 @@
 """The smoke steps of the CI workflow, run in-process through cli.main with the same numbers.
 
 Each digest is read from the workflow's `sha256sum -c` lines, so it is written in one place.
+The demos' stdout digests are checked by tests/test_demos.py, which runs each demo once.
 """
 
 import hashlib
@@ -43,8 +44,9 @@ def count(rows, path, bits=None, n_computed=None):
 
 
 def test_the_workflow_pins_every_digest_read_here():
+    demos = {f"{path.stem}.txt" for path in (ROOT / "demos").glob("*.py")}
     assert set(DIGESTS) == {"verify.txt", "tall.csv", "tall.json", "tall.pbm", "tie.csv", "walk.txt",
-                            "probes.txt", "module.txt"}
+                            "probes.txt", "module.txt"} | demos
 
 
 def test_verify_all_with_timings(capsys):

@@ -7,21 +7,27 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eulerprod import (
-    BATTERY,
     check_bounds,
-    check_g_bounds,
     coeffs_by_product,
     coeffs_by_recurrence,
     delta,
     exceptions_from_spec,
-    g_table,
     row_signs,
     sweep,
     weight_from_spec,
 )
 from eulerprod import harness, qseries
-from eulerprod.qseries import BOUNDED_MIN_SIZE, LADDER_BITS, _bounded_coeffs, _interval, _interval_sign, _rung_signs
-from eulerprod.suites import _partition_counts
+from eulerprod.qseries import (
+    BOUNDED_MIN_SIZE,
+    LADDER_BITS,
+    _bounded_coeffs,
+    _interval,
+    _interval_sign,
+    _rung_signs,
+    check_g_bounds,
+    g_table,
+)
+from eulerprod.suites import BATTERY, _partition_counts
 from test_maxprod import exception_specs
 
 POWER = weight_from_spec("power")

@@ -1,6 +1,7 @@
 import pytest
 
-from eulerprod import BATTERY, SUITE_IDS, CheckResult, MaxProdTable, SuiteReport, maxprod, suites, verify_suite
+from eulerprod import SUITE_IDS, MaxProdTable, maxprod, suites, verify_suite
+from eulerprod.suites import BATTERY, CheckResult, SuiteReport
 
 
 def test_suite_registry():
