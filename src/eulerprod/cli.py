@@ -175,7 +175,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
     E = exceptions_from_spec(args.exceptions)
     w = weight_from_spec(args.weights)
     with contextlib.ExitStack() as stack:
-        if args.out is not None:
+        if args.out not in (None, "-"):
             # an unwritable --out fails before the first row, not after the whole sweep
             stack.enter_context(_kept_unless_failed(args.out))
         on_row = None
@@ -194,8 +194,8 @@ def _run_sweep(args: argparse.Namespace) -> int:
             if args.out is not None:
                 emit_grid(exc.partial, args.out, args.format)
                 rows_done = exc.partial.ell_range[1]
-                print(f"budget exceeded; wrote partial grid of {rows_done} rows to {args.out}",
-                      file=sys.stderr)
+                print(f"budget exceeded; wrote partial grid of {rows_done} rows to "
+                      f"{'stdout' if args.out == '-' else args.out}", file=sys.stderr)
             else:
                 print(f"budget exceeded: {exc}", file=sys.stderr)
             return EXIT_BUDGET
@@ -272,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=50)
     p.add_argument("--ell-max", type=int, default=300)
     p.add_argument("--out", metavar="PATH",
-                   help="write the grid here; omit for a stabilization summary")
+                   help="write the grid here, '-' for stdout; omit for a stabilization summary")
     p.add_argument("--format", choices=("csv", "json", "pbm"), default="csv")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--budget-seconds", type=float)

@@ -16,6 +16,7 @@ import csv
 import json
 import math
 import os
+import sys
 import time
 from bisect import bisect_right
 from collections import deque
@@ -23,7 +24,7 @@ from contextlib import closing
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping, TextIO
 
 from .classify import (
     EVENTUALLY_CONCAVE,
@@ -233,18 +234,17 @@ def default_predictions(grid: SignGrid) -> dict[int, Prediction]:
 _CSV_ENDS = {1: ",1\r\n", 0: ",0\r\n", -1: ",-1\r\n"}
 
 
-def _emit_csv(grid: SignGrid, path: str) -> None:
+def _emit_csv(grid: SignGrid, handle: TextIO) -> None:
     """The lines 'n,ell,sign' of csv.writer, n-major, one write per column n."""
     lo, hi = grid.ell_range
     ells = [f",{ell}" for ell in range(lo, hi + 1)]
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        handle.write("n,ell,sign\r\n")
-        for n, column in enumerate(zip(*grid.signs), 1):
-            head = str(n)
-            handle.write(head + head.join([ell + _CSV_ENDS[sign] for ell, sign in zip(ells, column)]))
+    handle.write("n,ell,sign\r\n")
+    for n, column in enumerate(zip(*grid.signs), 1):
+        head = str(n)
+        handle.write(head + head.join([ell + _CSV_ENDS[sign] for ell, sign in zip(ells, column)]))
 
 
-def _emit_json(grid: SignGrid, path: str) -> None:
+def _emit_json(grid: SignGrid, handle: TextIO) -> None:
     payload = {
         "context": {
             "exceptions": grid.exceptions.spec_text,
@@ -256,11 +256,10 @@ def _emit_json(grid: SignGrid, path: str) -> None:
         },
         "signs": grid.signs,
     }
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+    handle.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
 
-def _emit_pbm(grid: SignGrid, path: str) -> None:
+def _emit_pbm(grid: SignGrid, handle: TextIO) -> None:
     lo, hi = grid.ell_range
     lines = [
         "P1",
@@ -272,20 +271,23 @@ def _emit_pbm(grid: SignGrid, path: str) -> None:
     ]
     for row in grid.signs:
         lines.append(" ".join("1" if s <= 0 else "0" for s in row))
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
+    handle.write("\n".join(lines) + "\n")
+
+
+_EMITTERS = {"csv": _emit_csv, "json": _emit_json, "pbm": _emit_pbm}
 
 
 def emit_grid(grid: SignGrid, path: str, format: str) -> None:
-    """Write the grid to path as csv, json or pbm; byte-deterministic."""
-    if format == "csv":
-        _emit_csv(grid, path)
-    elif format == "json":
-        _emit_json(grid, path)
-    elif format == "pbm":
-        _emit_pbm(grid, path)
-    else:
+    """Write the grid to path, or to stdout for '-', as csv, json or pbm; byte-deterministic."""
+    emit = _EMITTERS.get(format)
+    if emit is None:
         raise ValueError(f"unknown grid format {format!r}")
+    if path == "-":
+        emit(grid, sys.stdout)
+        return
+    # csv ends its lines with \r\n itself
+    with open(path, "w", newline="" if format == "csv" else None, encoding="utf-8") as handle:
+        emit(grid, handle)
 
 
 def parse_grid_csv(path: str) -> dict[tuple[int, int], int]:

@@ -237,32 +237,40 @@ MAX_WEIGHT_BITS = 1 << 20
 
 @dataclass(frozen=True)
 class WeightFamily:
-    """Weights f_ell(n) = n^e with f_ell(1) = 1 and growth envelope metadata.
+    """Weights f_ell(n) = n^e with f_ell(1) = 1, inside a growth envelope that is checked when built.
 
-    e is ell + base, except at each n listed in overrides as (n, a, b, c),
-    where e = a*ell + b + c*(-1)^ell.  phi(ell) and psi(ell) are the
+    e is ell + base, except at each n listed in overrides as (n, b, c),
+    where e = ell + b + c*(-1)^ell.  phi(ell) and psi(ell) are the
     envelope exponents with n^phi(ell) <= f_ell(n) <= n^psi(ell), and
     envelope_gap bounds psi(ell) - phi(ell) uniformly in ell.
     """
 
     id: str
     base: int
-    overrides: tuple[tuple[int, int, int, int], ...]
+    overrides: tuple[tuple[int, int, int], ...]
     phi_offset: int
     psi_offset: int
     envelope_gap: int
 
-    def linear_form(self, n: int) -> tuple[int, int, int]:
-        """(a, b, c) with exponent(ell, n) = a*ell + b + c*(-1)^ell for n >= 2."""
-        for m, a, b, c in self.overrides:
+    def __post_init__(self) -> None:
+        phi, psi = self.phi_offset, self.psi_offset
+        for name, b, c in (("base", self.base, 0), *((f"part {n}", b, c) for n, b, c in self.overrides)):
+            if b - abs(c) < phi or b + abs(c) > psi:
+                bound = f"below phi(ell) = {_text(phi, 0)}" if b - abs(c) < phi else f"above psi(ell) = {_text(psi, 0)}"
+                raise ValueError(f"weight family {self.id!r}: {name} has exponent {_text(b, c)}, {bound}")
+        if self.envelope_gap < psi - phi:
+            raise ValueError(f"weight family {self.id!r}: B = {self.envelope_gap} is below psi - phi = {psi - phi}")
+
+    def offsets(self, n: int) -> tuple[int, int]:
+        """(even, odd): the o with exponent(ell, n) = ell + o for even and for odd ell, n >= 2."""
+        for m, b, c in self.overrides:
             if m == n:
-                return a, b, c
-        return 1, self.base, 0
+                return b + c, b - c
+        return self.base, self.base
 
     def exponent(self, ell: int, n: int) -> int:
         """The e with f_ell(n) = n^e for n >= 2; ValueError if e < 0 or n^e may exceed MAX_WEIGHT_BITS bits."""
-        a, b, c = self.linear_form(n)
-        exponent = a * ell + b + (-c if ell % 2 else c)
+        exponent = ell + self.offsets(n)[ell % 2]
         if exponent < 0:
             raise ValueError(f"negative exponent {exponent} for f_{ell}({n}); weights must be positive integers")
         if exponent * n.bit_length() > MAX_WEIGHT_BITS:
@@ -279,6 +287,11 @@ class WeightFamily:
 
     def psi(self, ell: int) -> int:
         return ell + self.psi_offset
+
+
+def _text(b: int, c: int) -> str:
+    """ell + b + c*(-1)^ell in the formula grammar, alt standing for (-1)^ell."""
+    return "ell" + (f"{b:+d}" if b else "") + {0: "", 1: "+alt", -1: "-alt"}.get(c, f"{c:+d}*alt")
 
 
 _TERM = "(?:ell|alt|[0-9]+)"
@@ -314,17 +327,19 @@ def _from_schema(family_id: str, raw: object, context: str) -> WeightFamily:
             raise ValueError(f"{context} is missing {key!r}")
         if type(raw[key]) is not int:
             raise ValueError(f"{key!r} must be an integer in {context}, got {raw[key]!r}")
-    if raw["B"] < 0:
-        raise ValueError(f"B must be non-negative in {context}")
     overrides = raw.get("overrides", {})
     if not isinstance(overrides, dict):
         raise ValueError(f"'overrides' must be an object in {context}")
-    forms: dict[int, tuple[int, int, int]] = {}
+    forms: dict[int, tuple[int, int]] = {}
     for key, formula in overrides.items():
         # canonical decimals only, so no two keys name the same n
         if not re.fullmatch("[1-9][0-9]*", key) or int(key) < 2:
             raise ValueError(f"override key {key!r} in {context} is not an integer >= 2 without leading zeros")
-        forms[int(key)] = _linear_form(formula, f"override {key} in {context}")
+        a, b, c = _linear_form(formula, f"override {key} in {context}")
+        if a != 1:
+            raise ValueError(f"override {key} in {context}: exponent {formula!r} grows by {a} per step of ell, "
+                             "where the envelope needs exactly 1")
+        forms[int(key)] = b, c
     return WeightFamily(family_id, raw["base"], tuple((n, *forms[n]) for n in sorted(forms)),
                         raw["phi"], raw["psi"], raw["B"])
 
@@ -360,7 +375,7 @@ def weight_from_spec(spec: str) -> WeightFamily:
     'example2' is n^ell except f_ell(2) = 2^(ell+(-1)^ell) and
     f_ell(4) = 4^(ell-(-1)^ell).  All three are PRESETS of the schema
     that 'custom:<path>' reads from a JSON object: integers base, phi,
-    psi, B >= 0, and optional overrides from n >= 2 to exponent formulas.
+    psi, B, and optional overrides from n >= 2 to exponent formulas.
     """
     name = spec.strip()
     if name in PRESETS:

@@ -11,13 +11,13 @@ Delta(n) = p(n) (p'(n) - p'(n+1)) + p'(n) p'(n+1).  When p'(n) or
 p'(n+1) is 0 the sign is rep(n) - rep(n+1) at every ell, with rep(k)
 whether k is such a sum.
 
-Top terms, when every allowed part m >= 2 has exponent ell + c_m
-(c_m fixed for each parity of ell): expanding each factor with
-C(f+k-1, k) = sum_i c(k, i) f^i / k!, c the unsigned Stirling numbers,
-gives p_ell(n) = sum_B c_B B^ell with every c_B >= 0 and ell-free for
-one parity.  The top base is M(n), the largest part product over the
-partitions of n, and its coefficient is the sum over the maximizers of
-prod_{m >= 2} m^(c_m k_m) / k_m!.  Let T = max(M(n)^2, M(n-1) M(n+1)) be
+Top terms: every allowed part m >= 2 has exponent ell + c_m, with c_m
+fixed for each parity of ell (WeightFamily.offsets).  Expanding each
+factor with C(f+k-1, k) = sum_i c(k, i) f^i / k!, c the unsigned
+Stirling numbers, gives p_ell(n) = sum_B c_B B^ell with every c_B >= 0
+and ell-free for one parity.  The top base is M(n), the largest part
+product over the partitions of n, and its coefficient is the sum over
+the maximizers of prod_{m >= 2} m^(c_m k_m) / k_m!.  Let T = max(M(n)^2, M(n-1) M(n+1)) be
 the top base of Delta(n), a and b the T-parts of p(n)^2 and
 p(n-1) p(n+1).  If a != b and, at some row ell1,
 2 max(a, b) > p(n)^2 + p(n-1) p(n+1), then Delta(n) has the sign of
@@ -47,21 +47,6 @@ def representable(E: ExceptionSet, N: int) -> list[bool]:
     for k in range(2, N + 1):
         rep[k] = any(rep[k - m] for m in parts if m <= k)
     return rep
-
-
-def slope_one_offsets(w: WeightFamily, parts: tuple[int, ...]) -> tuple[dict[int, int], dict[int, int]] | None:
-    """(even, odd): c_m with exponent(ell, m) = ell + c_m for each part m >= 2, per parity of ell.
-
-    None when some part's exponent does not grow by exactly 1 per step of ell.
-    """
-    even, odd = {}, {}
-    for m in parts:
-        if m >= 2:
-            a, b, c = w.linear_form(m)
-            if a != 1:
-                return None
-            even[m], odd[m] = b + c, b - c
-    return even, odd
 
 
 def top_coefficients(table: MaxProdTable, weights: dict[int, int]) -> tuple[tuple[int, ...], int]:
@@ -106,14 +91,13 @@ class ColumnCertificates:
     """Certified signs of the columns 1..n_max of one sweep, per parity of ell.
 
     Sparse-support certificates hold from row 1.  Top-term certificates
-    come from the rows record() is given, for weights whose every allowed
-    part up to n_max + 1 has exponent slope 1; the top coefficients are
-    built at the first such row.  A certificate proven at row ell1 leaves
+    come from the rows record() is given; the top coefficients are built
+    at the first such row.  A certificate proven at row ell1 leaves
     its column out of the computed prefix from row ell1 + ROW_LAG on.
     """
 
     def __init__(self, E: ExceptionSet, w: WeightFamily, n_max: int) -> None:
-        self.E, self.n_max = E, n_max
+        self.E, self.w, self.n_max = E, w, n_max
         self.parts = support_view(E, n_max + 1)
         rep = representable(E, n_max + 1)
         # proven[parity][n] = (first row whose prefix leaves n out, sign); parity = ell % 2
@@ -122,7 +106,6 @@ class ColumnCertificates:
             if not (rep[n] and rep[n + 1]):
                 for proven in self.proven:
                     proven[n] = (1, rep[n] - rep[n + 1])
-        self.offsets = slope_one_offsets(w, self.parts)
         # tops[parity][n] = [sign, T, ell, lower bound m * 2^e of 2 max(a, b) at that ell]
         self._tops: tuple[dict[int, list[int]], ...] | None = None
         # the least row of each parity known to compute nothing; every later row of it computes nothing too
@@ -149,7 +132,8 @@ class ColumnCertificates:
         M = table.best
         leads = [s for s in table.leads if s >= 2]
         tops: tuple[dict[int, list[int]], ...] = ({}, {})
-        for offsets, parity_tops in zip(self.offsets, tops):
+        for parity, parity_tops in enumerate(tops):
+            offsets = {s: self.w.offsets(s)[parity] for s in leads}
             # weights m^(c_m + shift) with every exponent >= 0; the T-parts pick up T^-shift
             shift = max([0] + [-offsets[s] for s in leads])
             X, F = top_coefficients(table, {s: s ** (offsets[s] + shift) for s in leads})
@@ -179,7 +163,7 @@ class ColumnCertificates:
         parity = ell % 2
         proven = self.proven[parity]
         n_hi = len(prefix)
-        if self.offsets is not None and n_hi:
+        if n_hi:
             if self._tops is None:
                 self._tops = self._build_tops()
             tops = self._tops[parity]

@@ -166,14 +166,15 @@ class TestDeltaBranch:
 
     def test_a_failed_probe_is_not_remembered(self, tmp_path):
         path = tmp_path / "weights.json"
-        path.write_text('{"base": -1, "phi": -1, "psi": 0, "B": 1, "overrides": {"4": "3-ell"}}')
+        # f_ell(4) = 4^(ell - 5): the probes at ell 5..7 succeed and the one at ell 4 after them fails
+        path.write_text('{"base": -1, "phi": -5, "psi": 0, "B": 5, "overrides": {"4": "ell-5"}}')
         w = weight_from_spec(f"custom:{path}")
         for _ in range(3):
             with pytest.raises(ValueError, match=r"negative exponent -1 for f_4\(4\)"):
-                classify_delta_branch(E0, 8, w, range(1, 5))
-        assert [ell for ell, _ in classify_delta_branch(E0, 8, w, range(1, 4)).detail["probes"]] == [1, 2, 3]
+                classify_delta_branch(E0, 8, w, (5, 6, 7, 4))
+        assert [ell for ell, _ in classify_delta_branch(E0, 8, w, (5, 6, 7)).detail["probes"]] == [5, 6, 7]
         with pytest.raises(ValueError, match="negative exponent"):
-            classify_delta_branch(E0, 8, w, range(1, 5))
+            classify_delta_branch(E0, 8, w, (5, 6, 7, 4))
 
     def test_probes_are_tabled_once_per_family(self, monkeypatch):
         calls = []

@@ -1,11 +1,15 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 from eulerprod import exceptions_from_spec, parse_grid_csv, row_signs, weight_from_spec
 from eulerprod import cli
@@ -13,13 +17,7 @@ from eulerprod.cli import main
 from eulerprod.qseries import LADDER_BITS
 from eulerprod.suites import CheckResult, SuiteReport
 from test_pins import DIGESTS
-
-
-def steep_weights(tmp_path):
-    """A custom family whose exponent at 2 grows by 2 per step of ell: no top-term certificate covers it."""
-    path = tmp_path / "steep.json"
-    path.write_text(json.dumps({"base": -1, "phi": -1, "psi": 1, "B": 2, "overrides": {"2": "ell+ell-1"}}))
-    return f"custom:{path}"
+from test_qseries import _weight_file, broken_weight_schemas
 
 
 def run(capsys, *argv):
@@ -245,27 +243,50 @@ class TestSweep:
         assert code == 2 and err == "error: n_max must be >= 2, got 1\n"
         assert path.read_bytes() == b"earlier\n"
 
+    @pytest.mark.parametrize("fmt", ["csv", "json", "pbm"])
+    def test_out_dash_writes_the_file_bytes_to_stdout(self, tmp_path, capsysbinary, monkeypatch, fmt):
+        monkeypatch.chdir(tmp_path)
+        argv = ["sweep", "--exceptions", "2,4", "--n-max", "12", "--ell-max", "30", "--format", fmt]
+        assert main([*argv, "--out", "grid"]) == 0
+        assert main([*argv, "--out", "-"]) == 0
+        captured = capsysbinary.readouterr()
+        assert captured.out == (tmp_path / "grid").read_bytes() and captured.err == b""
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["grid"]
+
+    # column 8 of E = none is never certified, so every row computes a prefix; the whole sweep
+    # takes about 0.2 s, far past the budget
+    BUDGET_SWEEP = ("sweep", "--exceptions", "none", "--n-max", "40", "--ell-max", "1000", "--budget-seconds", "0.01")
+
     def test_budget_exceeded(self, tmp_path, capsys):
         path = tmp_path / "partial.csv"
-        code, _, err = run(capsys, "sweep", "--n-max", "40", "--ell-max", "300", "--weights", steep_weights(tmp_path),
-                           "--budget-seconds", "0.01", "--out", str(path))
+        code, _, err = run(capsys, *self.BUDGET_SWEEP, "--out", str(path))
         assert code == 3 and "budget exceeded" in err
         assert path.exists()
 
     def test_budget_exceeded_without_out(self, tmp_path, capsys):
-        code, _, err = run(capsys, "sweep", "--n-max", "40", "--ell-max", "300", "--weights", steep_weights(tmp_path),
-                           "--budget-seconds", "0.01")
+        code, _, err = run(capsys, *self.BUDGET_SWEEP)
         assert code == 3 and "budget exceeded" in err
 
+    def test_budget_stop_with_out_dash(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *self.BUDGET_SWEEP, "--out", "-")
+        assert code == 3 and out.startswith("n,ell,sign\r\n")
+        note = re.fullmatch(r"budget exceeded; wrote partial grid of (\d+) rows to stdout\n", err)
+        assert note and len(out.splitlines()) == 1 + 40 * int(note[1])
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
-    @pytest.mark.parametrize("override,bad_ell", [
-        pytest.param("ell+524283", 6, id="ceiling"),  # 3^(ell + 524283) passes 2^20 bits at ell = 6
-        pytest.param("10-ell", 11, id="negative"),
+    @pytest.mark.parametrize("override,phi,psi,bad_ell", [
+        # 3^(ell + 524283) passes 2^20 bits at ell = 6
+        pytest.param("ell+524283", -1, 524283, 6, id="ceiling"),
+        # the exponent at 3 is ell + 3 at odd ell and ell - 3 at even ell: -1 at ell = 2, after a good row
+        pytest.param("ell-alt-alt-alt", -3, 3, 2, id="negative"),
+        pytest.param("ell-10", -10, 0, 1, id="negative-first-row"),
     ])
-    def test_filled_rows_keep_weight_checks(self, tmp_path, capsys, jobs, override, bad_ell):
+    def test_filled_rows_keep_weight_checks(self, tmp_path, capsys, jobs, override, phi, psi, bad_ell):
         # S = {1, 3} certifies every column from the first row, so no row computes a weight
         path = tmp_path / "weights.json"
-        path.write_text(json.dumps({"base": -1, "phi": -1, "psi": 0, "B": 1, "overrides": {"3": override}}))
+        path.write_text(json.dumps({"base": -1, "phi": phi, "psi": psi, "B": psi - phi, "overrides": {"3": override}}))
         spec, stats = f"custom:{path}", tmp_path / "rows.jsonl"
         with pytest.raises(ValueError) as info:
             row_signs(exceptions_from_spec("support:1,3"), weight_from_spec(spec), bad_ell, 30)
@@ -340,9 +361,22 @@ def test_malformed_weight_file(tmp_path, capsys, text):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@settings(max_examples=20, deadline=None)
+@given(broken_weight_schemas())
+def test_files_outside_their_envelope_exit_2_with_one_line(broken):
+    schema, name = broken
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["classify", "--weights", _weight_file(schema), "--n", "8"])
+    assert code == 2 and out.getvalue() == ""
+    [line] = err.getvalue().splitlines()
+    assert line.startswith("error: weight family ") or line.startswith("error: override ")
+    assert name in line
+
+
 def test_huge_weight_file(tmp_path, capsys):
     path = tmp_path / "huge.json"
-    path.write_text('{"base": 1000000000000, "phi": 0, "psi": 0, "B": 0}')
+    path.write_text('{"base": 1000000000000, "phi": 1000000000000, "psi": 1000000000000, "B": 0}')
     # refused by the model first, so a missing check fails here instead of building the power
     with pytest.raises(ValueError, match="ceiling"):
         weight_from_spec(f"custom:{path}").exponent(1, 2)

@@ -1,8 +1,9 @@
 import json
+import re
 import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eulerprod import exceptions_from_spec, next_allowed, weight_from_spec
@@ -20,6 +21,7 @@ from eulerprod.model import (
     support_view,
 )
 from test_maxprod import exception_specs
+from test_qseries import _weight_file, broken_weight_schemas
 
 
 @pytest.mark.parametrize("n,expected", [
@@ -297,7 +299,7 @@ class TestWeightFamilies:
 
     def test_custom_huge_base_refused(self, tmp_path):
         path = tmp_path / "huge.json"
-        path.write_text(json.dumps({"base": 10**12, "phi": 0, "psi": 0, "B": 0}))
+        path.write_text(json.dumps({"base": 10**12, "phi": 10**12, "psi": 10**12, "B": 0}))
         w = weight_from_spec(f"custom:{path}")
         assert w.eval(1, 1) == 1
         # exponent() first: without the check it returns 10^12 + 1 instead of building 2^(10^12 + 1)
@@ -319,9 +321,35 @@ class TestWeightFamilies:
         with pytest.raises(ValueError):
             weight_from_spec(f"custom:{path}")
 
+    @pytest.mark.parametrize("args,message", [
+        pytest.param((0, (), 5, -5, 0), "base has exponent ell, below phi(ell) = ell+5", id="phi-above-psi"),
+        pytest.param((-2, (), -1, 1, 2), "base has exponent ell-2, below phi(ell) = ell-1", id="base"),
+        pytest.param((0, ((2, 1, 1),), -1, 1, 2), "part 2 has exponent ell+1+alt, above psi(ell) = ell+1", id="part"),
+        pytest.param((0, ((3, 0, -2),), -1, 1, 2), "part 3 has exponent ell-2*alt, below phi(ell) = ell-1",
+                     id="part-alt"),
+        pytest.param((0, (), -1, 1, 1), "B = 1 is below psi - phi = 2", id="B"),
+    ])
+    def test_a_family_outside_its_envelope_cannot_be_built(self, args, message):
+        with pytest.raises(ValueError) as info:
+            WeightFamily("direct", *args)
+        assert str(info.value) == f"weight family 'direct': {message}"
+
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             weight_from_spec("cubic")
+
+
+@settings(max_examples=40, deadline=None)
+@given(broken_weight_schemas())
+@example(({"base": -1, "phi": -1, "psi": 1, "B": 2, "overrides": {"2": "ell+ell-1"}}, "override 2"))
+@example(({"base": 0, "phi": 5, "psi": -5, "B": 0}, "base has exponent"))
+@example(({"base": 0, "phi": -1, "psi": 1, "B": 2, "overrides": {"4": "ell-alt-alt"}}, "part 4 has exponent"))
+@example(({"base": 0, "phi": -1, "psi": 1, "B": 1}, "B = "))
+def test_files_outside_their_envelope_are_refused(broken):
+    schema, name = broken
+    with pytest.raises(ValueError, match=re.escape(name)) as info:
+        weight_from_spec(_weight_file(schema))
+    assert "\n" not in str(info.value)
 
 
 _TERMS = st.one_of(st.sampled_from(["ell", "alt"]), st.integers(0, 10**12).map(str))

@@ -70,6 +70,16 @@ def test_pooled_budget_stop(capsys):
     assert len(err.splitlines()) == 1
 
 
+def test_a_weight_file_outside_its_envelope(tmp_path, capsys):
+    # the file the workflow writes, read from its echo line
+    [text] = re.findall(r"echo '(.*)' > \"\$RUNNER_TEMP/steep.json\"", WORKFLOW.read_text(encoding="utf-8"))
+    path = tmp_path / "steep.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "classify", "--weights", f"custom:{path}", "--n", "8")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+
+
 def test_routes_on_a_wide_sweep(tmp_path, capsys):
     stats = tmp_path / "rows.jsonl"
     weights = f"custom:{ROOT / 'perfbench' / 'example2.json'}"

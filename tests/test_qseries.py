@@ -42,23 +42,66 @@ _WEIGHT_DIR = tempfile.TemporaryDirectory(prefix="weights-")
 
 
 @st.composite
-def _override_formulas(draw):
-    """a*ell + b + c*alt with a >= 0 and a + b >= |c|, so the exponent is >= 0 for every ell >= 1."""
-    a, c = draw(st.integers(0, 2)), draw(st.integers(-1, 1))
-    b = draw(st.integers(abs(c) - a, 3))
-    terms = ["+ell"] * a + [("+alt", "-alt")[c < 0]] * abs(c) + [f"{b:+d}"]
+def _override_formulas(draw, lo, hi):
+    """ell + b + c*alt with lo <= b - |c| and b + |c| <= hi, in some order and spacing."""
+    c = draw(st.integers(-((hi - lo) // 2), (hi - lo) // 2))
+    b = draw(st.integers(lo + abs(c), hi - abs(c)))
+    terms = ["+ell"] + [("+alt", "-alt")[c < 0]] * abs(c) + [f"{b:+d}"]
     return draw(st.sampled_from(["", " "])).join(draw(st.permutations(terms)))
 
 
 @st.composite
-def weight_files(draw):
-    """custom:<path> specs of whole weight files: base, phi <= psi, B >= 0 and non-negative overrides."""
-    phi, gap = draw(st.integers(-2, 2)), draw(st.integers(0, 3))
-    schema = {"base": draw(st.integers(-1, 2)), "phi": phi, "psi": phi + gap, "B": gap}
-    overrides = draw(st.dictionaries(st.integers(2, 12).map(str), _override_formulas(), max_size=3))
+def weight_schemas(draw):
+    """Whole weight files inside their envelope: base and every override in [phi, psi], B >= psi - phi.
+
+    Every exponent offset is >= -1 as well, so each weight is defined from ell = 1 on.
+    """
+    phi = draw(st.integers(-2, 2))
+    psi = phi + draw(st.integers(max(0, -1 - phi), 3))
+    lo = max(phi, -1)
+    schema = {"base": draw(st.integers(lo, psi)), "phi": phi, "psi": psi,
+              "B": psi - phi + draw(st.integers(0, 1))}
+    overrides = draw(st.dictionaries(st.integers(2, 12).map(str), _override_formulas(lo, psi), max_size=3))
     if overrides or draw(st.booleans()):
         schema["overrides"] = overrides
-    return _weight_file(schema)
+    return schema
+
+
+def weight_files():
+    """custom:<path> specs of the files weight_schemas draws."""
+    return weight_schemas().map(_weight_file)
+
+
+@st.composite
+def broken_weight_schemas(draw):
+    """(schema, name): a weight file that breaks one envelope condition, and the name its refusal gives.
+
+    The conditions: an override of slope other than 1, an override or the base outside
+    [phi, psi], and B below psi - phi.
+    """
+    schema = draw(weight_schemas())
+    phi, psi = schema["phi"], schema["psi"]
+    broken = draw(st.sampled_from(["slope", "override", "base", "B"]))
+    if broken == "B":
+        schema["B"] = psi - phi - draw(st.integers(1, 3))
+        return schema, "B = "
+    out = draw(st.one_of(st.integers(psi + 1, psi + 3), st.integers(phi - 3, phi - 1)))
+    if broken == "base":
+        schema["base"] = out
+        return schema, "base has exponent"
+    n = draw(st.integers(2, 12))
+    if broken == "slope":
+        a = draw(st.sampled_from([-1, 0, 2, 3]))
+        terms = [("+ell", "-ell")[a < 0]] * abs(a) + [f"{draw(st.integers(-2, 3)):+d}"]
+        name = f"override {n}"
+    else:
+        c = draw(st.integers(-1, 1))
+        # b + |c| = out above psi, or b - |c| = out below phi
+        b = out - abs(c) if out > psi else out + abs(c)
+        terms = ["+ell", f"{b:+d}"] + [("+alt", "-alt")[c < 0]] * abs(c)
+        name = f"part {n} has exponent"
+    schema["overrides"] = {**schema.get("overrides", {}), str(n): "".join(draw(st.permutations(terms)))}
+    return schema, name
 
 
 def _weight_file(schema):
@@ -204,6 +247,15 @@ def test_g_envelope_checks():
     gt = g_table(exceptions_from_spec("none"), POWER, 1, 5)
     with pytest.raises(ValueError):
         check_g_bounds(gt, 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(exception_specs(), weight_files())
+def test_g_envelope_holds_on_every_family_that_loads(espec, wspec):
+    E, w = exceptions_from_spec(espec), weight_from_spec(wspec)
+    for ell in range(1, 9):
+        gt = g_table(E, w, ell, 40)
+        assert all(check_g_bounds(gt, n) for n in range(1, 41)), (espec, wspec, ell)
 
 
 def test_variant_weights_change_coefficients():
@@ -427,8 +479,8 @@ class TestTailCut:
     def test_custom_weight_row(self, tmp_path):
         # g(12) and g(15) dwarf their neighbours, so the tail maximum must include k = L + 1
         path = tmp_path / "weights.json"
-        path.write_text(json.dumps({"base": -1, "phi": 0, "psi": 0, "B": 0,
-                                    "overrides": {"2": "1", "12": "133", "15": "203"}}))
+        path.write_text(json.dumps({"base": -1, "phi": -1, "psi": 202, "B": 203,
+                                    "overrides": {"2": "ell", "12": "ell+132", "15": "ell+202"}}))
         assert_row_cut_matches_full_scan(exceptions_from_spec("2,4"), weight_from_spec(f"custom:{path}"), 1, 19)
 
     @settings(max_examples=60, deadline=None)

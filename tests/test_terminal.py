@@ -7,8 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eulerprod import MaxProdTable, exceptions_from_spec, row_signs, sweep, weight_from_spec
-from eulerprod.terminal import ROW_LAG, ColumnCertificates, representable, slope_one_offsets, top_coefficients
+from eulerprod.terminal import ROW_LAG, ColumnCertificates, representable, top_coefficients
 from test_maxprod import exception_specs
+from test_qseries import WEIGHT_SPECS
 
 POWER = weight_from_spec("power")
 S13 = exceptions_from_spec("support:1,3")
@@ -42,24 +43,27 @@ class TestTopCoefficients:
 
 class TestCoverage:
     def test_presets_have_slope_one(self):
-        parts = tuple(range(1, 52))
-        assert slope_one_offsets(POWER, parts) == ({m: -1 for m in parts[1:]},) * 2
-        even, odd = slope_one_offsets(weight_from_spec("example2"), parts)
-        assert (even[2], odd[2], even[4], odd[4], even[3], odd[3]) == (1, -1, -1, 1, 0, 0)
+        assert {POWER.offsets(m) for m in range(2, 52)} == {(-1, -1)}
+        w = weight_from_spec("example2")
+        assert (w.offsets(2), w.offsets(4), w.offsets(3)) == ((1, -1), (-1, 1), (0, 0))
 
-    def test_a_steeper_part_gets_no_top_certificate(self, tmp_path):
+    def test_a_steeper_part_is_refused(self, tmp_path):
         path = tmp_path / "steep.json"
         path.write_text(json.dumps({"base": -1, "phi": -1, "psi": 1, "B": 2, "overrides": {"2": "ell+ell"}}))
-        w = weight_from_spec(f"custom:{path}")
-        none = exceptions_from_spec("none")
-        assert ColumnCertificates(none, w, 20).offsets is None
-        # only a part the exception set allows counts
-        assert ColumnCertificates(exceptions_from_spec("2"), w, 20).offsets is not None
-        seen = []
-        grid = sweep(none, w, 20, 30, on_row=lambda ell, bits, n_computed, seconds: seen.append(n_computed))
-        # column 1 is certified by sparse support only, so every row computes the full width
-        assert seen == [20] * 30
-        assert grid.signs == tuple(row_signs(none, w, ell, 20)[1] for ell in range(1, 31))
+        with pytest.raises(ValueError, match="override 2 .* grows by 2 per step of ell"):
+            weight_from_spec(f"custom:{path}")
+
+    @settings(max_examples=40, deadline=None)
+    @given(exception_specs(), WEIGHT_SPECS, st.integers(1, 6))
+    def test_every_family_that_loads_gets_top_terms(self, espec, wspec, ell):
+        # each part's exponent is ell + its offset for ell's parity, so record builds the top terms
+        E, w = exceptions_from_spec(espec), weight_from_spec(wspec)
+        for m in range(2, 22):
+            assert w.exponent(ell, m) == ell + w.offsets(m)[ell % 2]
+        columns = ColumnCertificates(E, w, 20)
+        _, signs, bounds = row_signs(E, w, ell, 20)
+        assert columns.record(ell, signs, bounds) == signs
+        assert columns._tops is not None
 
 
 class TestSparseSupport:
