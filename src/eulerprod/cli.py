@@ -180,7 +180,8 @@ def _run_sweep(args: argparse.Namespace) -> int:
             stack.enter_context(_kept_unless_failed(args.out))
         on_row = None
         if args.stats is not None:
-            stats = stack.enter_context(open(args.stats, "w", encoding="utf-8"))
+            # stats never join the deterministic outputs, so '-' sends them to stderr
+            stats = sys.stderr if args.stats == "-" else stack.enter_context(open(args.stats, "w", encoding="utf-8"))
 
             def on_row(ell: int, bits: int | None, n_computed: int, seconds: float) -> None:
                 path = "certified" if not n_computed else "exact" if bits is None else "bounded"
@@ -277,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--budget-seconds", type=float)
     p.add_argument("--stats", metavar="PATH",
-                   help="write one JSON line per row to PATH: ell, the path that decided "
+                   help="write one JSON line per row to PATH, '-' for stderr: ell, the path that decided "
                         "it (bounded, exact, or certified when every cell was already "
                         "certified), the interval width in bits that did (null otherwise), "
                         "n_computed, the number of columns the row computed, and its seconds")

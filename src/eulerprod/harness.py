@@ -209,8 +209,7 @@ def stabilization(grid: SignGrid, predictions: Mapping[int, Prediction]) -> list
     """Collapse each column to terminal sign, threshold and agreement."""
     lo, hi = grid.ell_range
     out: list[StabilizationRow] = []
-    for n in range(1, grid.n_max + 1):
-        column = grid.column(n)
+    for n, column in enumerate(zip(*grid.signs), 1):
         terminal = column[-1]
         threshold = hi
         for ell in range(hi - 1, lo - 1, -1):

@@ -18,12 +18,12 @@ Stirling numbers, gives p_ell(n) = sum_B c_B B^ell with every c_B >= 0
 and ell-free for one parity.  The top base is M(n), the largest part
 product over the partitions of n, and its coefficient is the sum over
 the maximizers of prod_{m >= 2} m^(c_m k_m) / k_m!.  Let T = max(M(n)^2, M(n-1) M(n+1)) be
-the top base of Delta(n), a and b the T-parts of p(n)^2 and
-p(n-1) p(n+1).  If a != b and, at some row ell1,
-2 max(a, b) > p(n)^2 + p(n-1) p(n+1), then Delta(n) has the sign of
-a - b at ell1 and at every later ell of that parity: every other term
-has a base below T, so it grows by at most T^(ell - ell1) while a - b
-grows by exactly that.
+the top base of Delta(n), and a T^ell and b T^ell the T-parts of p(n)^2
+and p(n-1) p(n+1).  If a > b and, at some row ell1,
+a T^ell1 > p(n-1) p(n+1), then Delta(n) > 0 at ell1 and at every later
+ell of that parity: p(n)^2 >= a T^ell, while p(n-1) p(n+1) / T^ell
+never grows along one parity, since every base it has is <= T.  If
+b > a, then b T^ell1 > p(n)^2 gives Delta(n) < 0 in the same way.
 """
 
 from __future__ import annotations
@@ -106,7 +106,7 @@ class ColumnCertificates:
             if not (rep[n] and rep[n + 1]):
                 for proven in self.proven:
                     proven[n] = (1, rep[n] - rep[n + 1])
-        # tops[parity][n] = [sign, T, ell, lower bound m * 2^e of 2 max(a, b) at that ell]
+        # tops[parity][n] = [sign of a - b, T, ell, lower bound m * 2^e of max(a, b) T^ell at that ell]
         self._tops: tuple[dict[int, list[int]], ...] | None = None
         # the least row of each parity known to compute nothing; every later row of it computes nothing too
         self._closed_from = [inf, inf]
@@ -143,8 +143,8 @@ class ColumnCertificates:
                 b = X[n - 1] * X[n + 1] if M[n - 1] * M[n + 1] == T else 0
                 if a == b:
                     continue
-                # 2 max(a, b) / (F^2 T^shift) is the T^ell coefficient at every ell of this parity
-                num, den = 2 * max(a, b), F * F * T ** shift
+                # max(a, b) / (F^2 T^shift) is the larger side's T^ell coefficient at every ell of this parity
+                num, den = max(a, b), F * F * T ** shift
                 q = _BITS + den.bit_length() - num.bit_length()
                 m = (num << q) // den if q >= 0 else num // (den << -q)
                 parity_tops[n] = [1 if a > b else -1, T, 0, m, -q]
@@ -155,10 +155,10 @@ class ColumnCertificates:
 
         Columns past the prefix take their certified signs, a tuple built once
         per parity and prefix length and shared by every such row; a row with
-        an empty prefix is that tuple itself.  Each column of
-        the prefix without a certificate for ell's parity is checked against
-        its top term; a computed sign that contradicts a certificate raises
-        ArithmeticError.
+        an empty prefix is that tuple itself.  Each column of the prefix
+        without a certificate for ell's parity checks its larger side's top
+        term against the other side; a computed sign that contradicts a
+        certificate raises ArithmeticError.
         """
         parity = ell % 2
         proven = self.proven[parity]
@@ -174,10 +174,10 @@ class ColumnCertificates:
                 sign, T, j, m, e = top
                 m, e = _floor(m * T ** (ell - j), e)
                 top[2:] = ell, m, e
+                # the larger side's top term against the upper bound on the other side alone
                 (u0, e0), (u1, e1), (u2, e2) = bounds[n - 1:n + 2]
-                base = min(2 * e1, e0 + e2)
-                rest = (u1 * u1 << 2 * e1 - base) + (u0 * u2 << e0 + e2 - base)
-                if _exceeds(m, e, rest, base):
+                other, e_other = (u0 * u2, e0 + e2) if sign > 0 else (u1 * u1, 2 * e1)
+                if _exceeds(m, e, other, e_other):
                     proven[n] = (ell + ROW_LAG, sign)
         for n, sign in enumerate(prefix, 1):
             certified = proven.get(n)

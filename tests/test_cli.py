@@ -253,6 +253,17 @@ class TestSweep:
         assert captured.out == (tmp_path / "grid").read_bytes() and captured.err == b""
         assert sorted(path.name for path in tmp_path.iterdir()) == ["grid"]
 
+    def test_stats_dash_writes_the_lines_to_stderr(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv = ["sweep", "--exceptions", "2,4", "--n-max", "12", "--ell-max", "30"]
+        code, plain, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        code, out, err = run(capsys, *argv, "--stats", "-")
+        assert code == 0 and out == plain
+        rows = [json.loads(line) for line in err.splitlines()]
+        assert [row["ell"] for row in rows] == list(range(1, 31))
+        assert list(tmp_path.iterdir()) == []
+
     # column 8 of E = none is never certified, so every row computes a prefix; the whole sweep
     # takes about 0.2 s, far past the budget
     BUDGET_SWEEP = ("sweep", "--exceptions", "none", "--n-max", "40", "--ell-max", "1000", "--budget-seconds", "0.01")

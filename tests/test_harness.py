@@ -210,7 +210,7 @@ class TestSweep:
 class TestSharedPool:
     @settings(max_examples=30, deadline=None)
     @given(exception_specs(), WEIGHT_SPECS, st.integers(2, 40), st.integers(1, 60))
-    # rows 42..122 of this one take the bounded route, and every column is certified by row 116
+    # rows 42..117 of this one take the bounded route, and every column is certified by row 111
     @example(espec="2,4", wspec="power", n_max=50, ell_max=130)
     # the tie column 8 stays open while the columns past it are certified
     @example(espec="none", wspec="power", n_max=12, ell_max=60)
@@ -230,8 +230,8 @@ class TestSharedPool:
         assert seen == serial
 
     def test_zero_width_rows_never_reach_the_pool(self, shared_pool, monkeypatch, tmp_path):
-        # the grid-wide shape: the odd rows from 37 and the even rows from 64 compute nothing
-        # (51 of 100), so only the other 49 go to the pool
+        # the grid-wide shape: the odd rows from 35 and the even rows from 60 compute nothing
+        # (54 of 100), so only the other 46 go to the pool
         path = tmp_path / "example2.json"
         path.write_text(json.dumps({"base": 0, "phi": -1, "psi": 1, "B": 2,
                                     "overrides": {"2": "ell+alt", "4": "ell-alt"}}))
@@ -245,7 +245,7 @@ class TestSharedPool:
 
         with mock.patch("concurrent.futures.ProcessPoolExecutor", borrow):
             pooled = sweep(E3, w, 200, 100, jobs=2)
-        assert len(pools) == 1 and len(pools[0].futures) == 49
+        assert len(pools) == 1 and len(pools[0].futures) == 46
         assert pooled.signs == sweep(E3, w, 200, 100).signs
 
 

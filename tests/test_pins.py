@@ -88,8 +88,8 @@ def test_routes_on_a_wide_sweep(tmp_path, capsys):
     assert code == 0
     rows = stats_rows(stats)
     assert len(rows) == 100
-    assert count(rows, "certified", n_computed=0) == 51
-    assert count(rows, "bounded", bits=24) == 43
+    assert count(rows, "certified", n_computed=0) == 54
+    assert count(rows, "bounded", bits=24) == 40
     assert count(rows, "exact") == 6
 
 
@@ -101,8 +101,8 @@ def test_routes_and_bytes_of_a_tall_sweep(tmp_path, capsys):
     rows = stats_rows(stats)
     assert len(rows) == 400
     assert count(rows, "exact") == 41
-    assert count(rows, "bounded", bits=24) == 81
-    assert count(rows[-278:], "certified", n_computed=0) == 278
+    assert count(rows, "bounded", bits=24) == 76
+    assert count(rows[-283:], "certified", n_computed=0) == 283
     assert sha256(out.read_bytes()) == DIGESTS["tall.csv"]
     for fmt in ("json", "pbm"):
         out = tmp_path / f"tall.{fmt}"
@@ -119,7 +119,7 @@ def test_certified_columns_on_a_tie(tmp_path, capsys):
     assert code == 0
     rows = stats_rows(stats)
     assert len(rows) == 1000
-    assert all(row["n_computed"] == 8 for row in rows[-924:])
+    assert [ell for ell, row in enumerate(rows, 1) if row["n_computed"] == 8] == list(range(71, 1001))
     assert sha256(out.read_bytes()) == DIGESTS["tie.csv"]
 
 

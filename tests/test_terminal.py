@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eulerprod import MaxProdTable, exceptions_from_spec, row_signs, sweep, weight_from_spec
-from eulerprod.terminal import ROW_LAG, ColumnCertificates, representable, top_coefficients
+from eulerprod.terminal import ROW_LAG, ColumnCertificates, _exceeds, representable, top_coefficients
 from test_maxprod import exception_specs
 from test_qseries import WEIGHT_SPECS
 
@@ -25,6 +25,43 @@ def maximizer_sum(table, n, weights):
                 term *= Fraction(weights.get(m, 1) ** k, factorial(k))
         total += term
     return total
+
+
+def proving_rows(E, w, n_max, ell_max):
+    """{(parity, n): the row whose top term proved column n}, from the prefixes a serial sweep computes."""
+    columns = ColumnCertificates(E, w, n_max)
+    for ell in range(1, ell_max + 1):
+        n_hi = columns.width(ell)
+        if n_hi:
+            _, prefix, bounds = row_signs(E, w, ell, n_hi)
+            columns.record(ell, prefix, bounds)
+    return {(parity, n): since - ROW_LAG for parity, proven in enumerate(columns.proven)
+            for n, (since, _) in proven.items() if since > 1}
+
+
+def two_sided_rows(E, w, n_max, ell_max):
+    """{(parity, n): the first row where 2 max(a, b) T^ell > p(n)^2 + p(n-1) p(n+1)}, read from full rows.
+
+    The reference inequality: the larger top term, doubled, against the upper bounds on both
+    sides.  It holds only where the one-sided test of ColumnCertificates.record holds too.
+    """
+    columns = ColumnCertificates(E, w, n_max)
+    tops = columns._build_tops()
+    found = {}
+    for ell in range(1, ell_max + 1):
+        parity = ell % 2
+        open_columns = [n for n in tops[parity] if n not in columns.proven[parity] and (parity, n) not in found]
+        if not open_columns:
+            continue
+        _, _, bounds = row_signs(E, w, ell, max(open_columns))
+        for n in open_columns:
+            _, T, _, m, e = tops[parity][n]
+            (u0, e0), (u1, e1), (u2, e2) = bounds[n - 1:n + 2]
+            base = min(2 * e1, e0 + e2)
+            rest = (u1 * u1 << 2 * e1 - base) + (u0 * u2 << e0 + e2 - base)
+            if _exceeds(m * T ** ell, e + 1, rest, base):
+                found[parity, n] = ell
+    return found
 
 
 class TestTopCoefficients:
@@ -109,9 +146,9 @@ class TestTopTerms:
         for ell in range(1, 131):
             _, signs, bounds = row_signs(E, POWER, ell, 50)
             assert columns.record(ell, signs, bounds) == signs
-        # every column of the paper's figure is certified in both parities, the last at ell 116
+        # every column of the paper's figure is certified in both parities, the last at ell 111
         assert all(len(proven) == 50 for proven in columns.proven)
-        assert max(since for proven in columns.proven for since, _ in proven.values()) == 116 + ROW_LAG
+        assert max(since for proven in columns.proven for since, _ in proven.values()) == 111 + ROW_LAG
         assert columns.width(130) == 0
         # a later row of a closed parity computes nothing either; an earlier one still computes its columns
         assert columns.width(400) == columns.width(401) == 0
@@ -120,12 +157,12 @@ class TestTopTerms:
     def test_certified_rows_share_one_tail_per_parity(self):
         E = exceptions_from_spec("2,4")
         grid = sweep(E, POWER, 50, 400)
-        # rows 123..400 compute nothing: each parity's rows are one shared tuple, and that
+        # rows 118..400 compute nothing: each parity's rows are one shared tuple, and that
         # tuple is the full row
-        for first in (123, 124):
+        for first in (118, 119):
             shared = grid.signs[first - 1]
             assert all(row is shared for row in grid.signs[first - 1::2])
-        for ell in (123, 124, 399, 400):
+        for ell in (118, 119, 399, 400):
             assert grid.signs[ell - 1] == row_signs(E, POWER, ell, 50)[1]
 
     def test_opposite_parities_keep_their_own_tails(self):
@@ -136,3 +173,29 @@ class TestTopTerms:
         assert grid.signs == tuple(row_signs(none, w, ell, 12)[1] for ell in range(1, 121))
         even, odd = grid.signs[-1], grid.signs[-2]
         assert [n for n in range(1, 13) if odd[n - 1] != even[n - 1]] == [5, 8, 11]
+
+    @settings(max_examples=25, deadline=None)
+    @given(exception_specs(), WEIGHT_SPECS, st.integers(2, 20), st.integers(1, 100))
+    @example(espec="none", wspec="example1", n_max=20, ell_max=100)
+    def test_sweeps_equal_full_rows_over_the_grammar(self, espec, wspec, n_max, ell_max):
+        E, w = exceptions_from_spec(espec), weight_from_spec(wspec)
+        assert sweep(E, w, n_max, ell_max).signs == tuple(
+            row_signs(E, w, ell, n_max)[1] for ell in range(1, ell_max + 1))
+
+    # the tall, wide and tie sweeps the workflow pins, then the four sweeps of verify all, with
+    # the last proving row of each, one-sided and by the reference
+    @pytest.mark.parametrize("espec, wspec, n_max, ell_max, last, reference_last", [
+        ("2,4", "power", 50, 400, 111, 116),
+        ("3", "example2", 200, 100, 52, 56),
+        ("none", "power", 50, 1000, 64, 70),
+        ("3", "power", 40, 120, 25, 27),
+        ("3,5", "power", 40, 120, 12, 17),
+        ("4", "power", 36, 120, 40, 44),
+        ("2,4", "power", 50, 300, 111, 116),
+    ])
+    def test_no_column_is_proven_later_than_by_both_sides(self, espec, wspec, n_max, ell_max, last, reference_last):
+        E, w = exceptions_from_spec(espec), weight_from_spec(wspec)
+        rows, reference = proving_rows(E, w, n_max, ell_max), two_sided_rows(E, w, n_max, ell_max)
+        assert rows.keys() == reference.keys()
+        assert all(rows[key] <= ell for key, ell in reference.items())
+        assert (max(rows.values()), max(reference.values())) == (last, reference_last)
