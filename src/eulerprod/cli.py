@@ -4,7 +4,8 @@ Subcommands: compute (coefficient tables with differences), delta (one
 difference), maxprod (maximal-product reports), classify (eventual
 sign prediction), sweep (sign grids to file or a stabilization
 summary), verify (named check suites).  Exit codes: 0 success, 1 a
-verification suite failed, 2 usage error, 3 budget exceeded.
+verification suite failed, 2 usage error or a size too large to
+allocate, 3 budget exceeded.
 """
 
 from __future__ import annotations
@@ -298,6 +299,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.run(args)
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        print("error: out of memory: the requested size is too large to allocate", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -100,6 +100,14 @@ def _unchained(chain: tuple | None) -> tuple[int, ...]:
     return tuple(reversed(parts))
 
 
+def _square_against_neighbours(K: tuple[int, ...], C: tuple[int, ...], n: int) -> tuple[int, int]:
+    """(a, b) with a / b = W(n)^2 / (W(n-1) W(n+1)) for a column with W(r) = C[r] / K[r]!: both
+    sides times K[n-1]! K[n]!^2 K[n+1]! / j!^2, j the least of the three K."""
+    k0, k1, k2 = K[n - 1:n + 2]
+    j = min(k0, k1, k2)
+    return C[n] * C[n] * perm(k0, k0 - j) * perm(k2, k2 - j), C[n - 1] * C[n + 1] * perm(k1, k1 - j) ** 2
+
+
 @dataclass(frozen=True, init=False)
 class MaxProdTable:
     """Maximal products for every target 0..n_max, from the parts that can lead a maximizer.
@@ -116,13 +124,14 @@ class MaxProdTable:
     s * best[r - s] < best[s] * best[r - s] <= best[r]; the parts with
     c(s) <= s are the leads.  The runner-up products come from the
     all-parts recurrence, built the first time report() needs them; the
-    coefficients A(n), scaled to integers, from the lead recurrence,
-    built the first time report() or the refined criterion needs them.
+    one weighted coefficient column, scaled per n, from the lead
+    recurrence: A(n) at every weight 1, built the first time report() or
+    the refined criterion needs it, and the top terms of terminal.
 
-    The table is prefix-stable: best, leads, flat_steps and maximizers(m)
-    for m up to n_max are the same in any table of E with a larger
-    horizon, which is what lets shared_table() regrow a table in place of
-    the old one.
+    The table is prefix-stable: best, leads, flat_steps, maximizers(m)
+    and the weighted column up to n_max are the same in any table of E
+    with a larger horizon, which lets shared_table() regrow a table in
+    place of the old one.
     maximizers(n) remembers each answer it gives; see that method.
     """
 
@@ -186,27 +195,32 @@ class MaxProdTable:
         return tuple(tuple(s for s in self.leads[:bisect_right(self.leads, r)] if s * best[r - s] == best[r])
                      for r in range(len(best)))
 
-    @cached_property
-    def _coefficient_column(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(K, C): K[r], the most parts in a maximizer of r, and C[r] = K[r]! A(r).
+    def _weighted_column(self, weights: dict[int, int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(K, C): K[r], the most parts in a maximizer of r, and C[r] / K[r]! the sum over the
+        maximizers of r of prod_s w_s^k_s / k_s!, where w_s = weights.get(s, 1).
 
         Every part of a maximizer is a lead, and a maximizer of r minus one
         part s is a maximizer of r - s, where s * best[r - s] == best[r].
-        Since r = sum_s s k_s and k_s / k_s! = 1 / (k_s - 1)!, removing one
-        part s in every way gives r A(r) = sum s A(r - s) over s in firsts[r],
-        part 1 included, with A(0) = 1 for the empty partition.  C[r] sums
-        K[r]! / prod k_s! over the maximizers, an integer as sum k_s <= K[r];
-        multiplying the recurrence by K[r]! makes every term an integer, so
-        the division by r is exact and no row reduces a Fraction whose
-        denominator is a factorial (A(4000) with 2, 4, 5 excluded has one
-        of about 12k bits).
+        Since r = sum_s s k_s and k_s w^k_s / k_s! = w w^(k_s - 1) / (k_s - 1)!,
+        removing one part s in every way gives r W(r) = sum s w_s W(r - s) over
+        s in firsts[r], part 1 included, with W(0) = 1 for the empty
+        partition; a part of weight 0 drops every maximizer containing it.
+        C[r] = K[r]! W(r) is an integer as sum k_s <= K[r], so the division
+        by r is exact and no row reduces a Fraction whose denominator is a
+        factorial (A(4000) with 2, 4, 5 excluded has one of about 12k bits).
         """
         firsts, K, C = self.firsts, [0], [1]
+        sw = {s: s * weights.get(s, 1) for s in self.leads}
         for r in range(1, len(firsts)):
             k = 1 + max(K[r - s] for s in firsts[r])
-            C.append(sum(s * C[r - s] * perm(k, k - K[r - s]) for s in firsts[r]) // r)
+            C.append(sum(sw[s] * C[r - s] * perm(k, k - K[r - s]) for s in firsts[r] if sw[s]) // r)
             K.append(k)
         return tuple(K), tuple(C)
+
+    @cached_property
+    def _coefficient_column(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The column at every weight 1: C[r] = K[r]! A(r)."""
+        return self._weighted_column({})
 
     def coefficient(self, n: int) -> Fraction:
         """A(n), the sum of the maximizers' ordering coefficients, from the lead recurrence."""
@@ -219,9 +233,7 @@ class MaxProdTable:
         """A(n)^2 / (A(n-1) A(n+1)) as one Fraction of the integer column, for 1 <= n < n_max."""
         if not 1 <= n < self.n_max:
             raise ValueError(f"n must be in 1..{self.n_max - 1}, got {n}")
-        K, C = self._coefficient_column
-        return Fraction(C[n] * C[n] * factorial(K[n - 1]) * factorial(K[n + 1]),
-                        C[n - 1] * C[n + 1] * factorial(K[n]) ** 2)
+        return Fraction(*_square_against_neighbours(*self._coefficient_column, n))
 
     def maximizers(self, n: int) -> tuple[PartitionMultiset, ...]:
         """Every partition of n attaining best[n], rebuilt from the leads.

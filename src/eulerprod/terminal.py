@@ -17,20 +17,23 @@ factor with C(f+k-1, k) = sum_i c(k, i) f^i / k!, c the unsigned
 Stirling numbers, gives p_ell(n) = sum_B c_B B^ell with every c_B >= 0
 and ell-free for one parity.  The top base is M(n), the largest part
 product over the partitions of n, and its coefficient is the sum over
-the maximizers of prod_{m >= 2} m^(c_m k_m) / k_m!.  Let T = max(M(n)^2, M(n-1) M(n+1)) be
-the top base of Delta(n), and a T^ell and b T^ell the T-parts of p(n)^2
-and p(n-1) p(n+1).  If a > b and, at some row ell1,
-a T^ell1 > p(n-1) p(n+1), then Delta(n) > 0 at ell1 and at every later
-ell of that parity: p(n)^2 >= a T^ell, while p(n-1) p(n+1) / T^ell
-never grows along one parity, since every base it has is <= T.  If
-b > a, then b T^ell1 > p(n)^2 gives Delta(n) < 0 in the same way.
+the maximizers of prod_{m >= 2} m^(c_m k_m) / k_m!, from the max-product
+table's weighted column.  Let T = max(M(n)^2, M(n-1) M(n+1)) be the top
+base of Delta(n), and a T^ell and b T^ell the T-parts of p(n)^2 and
+p(n-1) p(n+1).  If a > b and, at some row ell1, a T^ell1 > p(n-1) p(n+1),
+then Delta(n) > 0 at ell1 and at every later ell of that parity:
+p(n)^2 >= a T^ell, while p(n-1) p(n+1) / T^ell never grows along one
+parity, since every base it has is <= T.  If b > a, then
+b T^ell1 > p(n)^2 gives Delta(n) < 0 in the same way.
 """
 
 from __future__ import annotations
 
-from math import factorial, inf
+from itertools import accumulate
+from math import inf, perm
+from operator import mul
 
-from .maxprod import MaxProdTable
+from .maxprod import MaxProdTable, _square_against_neighbours
 from .model import ExceptionSet, WeightFamily, support_view
 
 # row ell computes the columns that no certificate proven at a row <= ell - ROW_LAG covers, and
@@ -49,28 +52,19 @@ def representable(E: ExceptionSet, N: int) -> list[bool]:
     return rep
 
 
-def top_coefficients(table: MaxProdTable, weights: dict[int, int]) -> tuple[tuple[int, ...], int]:
-    """(X, F) with X[r] / F the sum over the maximizers of r of prod_{m >= 2} weights[m]^k_m / k_m!.
+def _top_column(table: MaxProdTable, weights: dict[int, int]) -> tuple[tuple[int, ...], list[int]]:
+    """(K, X) with X[r] / K[r]! the sum over the maximizers of r of prod_{m >= 2} weights[m]^k_m / k_m!.
 
-    Every part of a maximizer is one of the table's leads, and a
-    sub-multiset of a maximizer is a maximizer of its own sum.  Let Y[r]
-    be the sum over the maximizers of r without a part 1.  Since
-    r = sum_s s k_s and k_s w^k_s / k_s! = w w^(k_s - 1) / (k_s - 1)!,
-    removing one part s >= 2 gives r Y[r] = sum s weights[s] Y[r - s] over
-    the parts s >= 2 in table.firsts[r], the leads with best[r - s] s ==
-    best[r].  A maximizer of r with a part 1 is a maximizer of r - 1 and
-    a 1, where best[r - 1] == best[r], and part 1 is a factor 1 at any
-    multiplicity.  F = (N // 2)! clears every denominator, since at most
-    N / 2 parts are >= 2, so each division by r is exact.
+    Part 1 at weight 0 leaves the maximizers without a 1.  One with a 1 is a
+    maximizer of r - 1 plus a 1, where best[r - 1] == best[r] (so K[r] > K[r - 1]),
+    and part 1 weighs 1 at any multiplicity.
     """
-    best, N = table.best, table.n_max
-    F = factorial(N // 2)
-    sw = {s: s * weights.get(s, 1) for s in table.leads}
-    X, Y = [F], [F]
-    for r in range(1, N + 1):
-        Y.append(sum(sw[s] * Y[r - s] for s in table.firsts[r] if s >= 2) // r)
-        X.append(Y[r] + (X[r - 1] if best[r - 1] == best[r] else 0))
-    return tuple(X), F
+    M = table.best
+    K, Y = table._weighted_column({1: 0} | weights)
+    X = [1]
+    for r in range(1, len(M)):
+        X.append(Y[r] + (X[r - 1] * perm(K[r], K[r] - K[r - 1]) if M[r - 1] == M[r] else 0))
+    return K, X
 
 
 def _floor(m: int, e: int) -> tuple[int, int]:
@@ -136,15 +130,18 @@ class ColumnCertificates:
             offsets = {s: self.w.offsets(s)[parity] for s in leads}
             # weights m^(c_m + shift) with every exponent >= 0; the T-parts pick up T^-shift
             shift = max([0] + [-offsets[s] for s in leads])
-            X, F = top_coefficients(table, {s: s ** (offsets[s] + shift) for s in leads})
+            K, X = _top_column(table, {s: s ** (offsets[s] + shift) for s in leads})
+            facts = list(accumulate(range(1, max(K) + 1), mul, initial=1))
             for n in range(1, self.n_max + 1):
-                T = max(M[n] ** 2, M[n - 1] * M[n + 1])
-                a = X[n] ** 2 if M[n] ** 2 == T else 0
-                b = X[n - 1] * X[n + 1] if M[n - 1] * M[n + 1] == T else 0
+                square, neighbours = M[n] ** 2, M[n - 1] * M[n + 1]
+                T = max(square, neighbours)
+                # a side whose base is below T has no T-part; on a tie the two coefficients decide
+                a, b = _square_against_neighbours(K, X, n) if square == neighbours else (square, neighbours)
                 if a == b:
                     continue
-                # max(a, b) / (F^2 T^shift) is the larger side's T^ell coefficient at every ell of this parity
-                num, den = max(a, b), F * F * T ** shift
+                # num / den: the larger side's T^ell coefficient at every ell of this parity, over T^shift
+                i, j = (n, n) if a > b else (n - 1, n + 1)
+                num, den = X[i] * X[j], facts[K[i]] * facts[K[j]] * T ** shift
                 q = _BITS + den.bit_length() - num.bit_length()
                 m = (num << q) // den if q >= 0 else num // (den << -q)
                 parity_tops[n] = [1 if a > b else -1, T, 0, m, -q]

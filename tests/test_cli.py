@@ -4,6 +4,7 @@ import io
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -35,11 +36,11 @@ def test_import_leaves_multiprocessing_unloaded():
     assert result.stdout == "False\n"
 
 
-def run_module(tmp_path, *argv):
+def run_module(tmp_path, *argv, preexec_fn=None):
     """python -m eulerprod with only the checkout's src/ on PYTHONPATH."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     return subprocess.run([sys.executable, "-m", "eulerprod", *argv], cwd=tmp_path, env=env,
-                          capture_output=True, timeout=60)
+                          capture_output=True, timeout=60, preexec_fn=preexec_fn)
 
 
 class TestModuleEntryPoint:
@@ -128,6 +129,18 @@ class TestMaxprod:
     def test_closed_form_no_case(self, capsys):
         code, out, _ = run(capsys, "maxprod", "--exceptions", "support:1,3,5", "--closed-form", "--n", "12")
         assert code == 0 and "no closed form" in out
+
+    def test_a_target_too_large_to_allocate_exits_2_with_one_line(self, tmp_path):
+        # the child alone runs with a 400 MB address space, where the part list of 10^8 targets cannot be built
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
+
+        result = run_module(tmp_path, "maxprod", "--exceptions", "3", "--n", "100000000",
+                            preexec_fn=cap_address_space)
+        assert result.returncode == 2
+        lines = result.stderr.decode().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert b"Traceback" not in result.stderr
 
     def test_tail_min_is_no_option(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -1,6 +1,6 @@
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 from unittest import mock
 
 import pytest
@@ -39,6 +39,16 @@ def exception_specs():
     supports = st.sets(st.integers(2, 40), max_size=6).map(
         lambda kept: "support:" + ",".join(map(str, [1, *sorted(kept)])))
     return st.one_of(st.sampled_from(BATTERY), unions, supports, _atom_lists(5))
+
+
+def weighted_sum(maximizers, weights):
+    """sum over the maximizers of prod_s w_s^k_s / k_s!, with w_s = weights.get(s, 1), by enumeration."""
+    total = Fraction(0)
+    for m in maximizers:
+        counts = m.multiplicities()
+        total += Fraction(prod(weights.get(s, 1) ** k for s, k in counts.items()),
+                          prod(map(factorial, counts.values())))
+    return total
 
 
 def reference_reports(E, N):
@@ -223,9 +233,10 @@ class TestMaxProdTable:
             assert walk[n] == max_product_bruteforce(E, n)
 
     @settings(max_examples=80, deadline=None)
-    @given(spec=exception_specs(), N=st.integers(0, 120))
-    def test_coefficient_column_matches_the_maximizer_sums(self, spec, N):
-        # the lead recurrence against two sums over enumerated maximizers: the table's and the brute force's
+    @given(spec=exception_specs(), N=st.integers(0, 120), data=st.data())
+    def test_coefficient_column_matches_the_maximizer_sums(self, spec, N, data):
+        # the lead recurrence against two sums over enumerated maximizers: the table's and the brute force's;
+        # then at drawn weights on the leads, 0 among them, with part 1 at weight 0 in half the draws
         E = exceptions_from_spec(spec)
         table, walk = MaxProdTable(E, N), max_product_bruteforce_all(E, 28)
         most_parts, _ = table._coefficient_column
@@ -235,6 +246,13 @@ class TestMaxProdTable:
             assert most_parts[n] == max(m.part_count for m in table.maximizers(n))
             if n <= 28:
                 assert table.coefficient(n) == walk[n].coefficient
+        weights = data.draw(st.dictionaries(st.sampled_from(table.leads), st.integers(0, 40))) if N else {}
+        if data.draw(st.booleans()):
+            weights[1] = 0
+        K, C = table._weighted_column(weights)
+        assert K == most_parts
+        for n in range(N + 1):
+            assert Fraction(C[n], factorial(K[n])) == weighted_sum(table.maximizers(n), weights)
         for n in range(1, N):
             a = table.coefficient
             assert table.coefficient_ratio(n) == a(n) ** 2 / (a(n - 1) * a(n + 1))
@@ -276,6 +294,9 @@ class TestSharedTable:
                 table = shared_table(E, n)
                 assert table.n_max >= n
                 assert table.maximizers(n) == MaxProdTable(E, n).maximizers(n)
+                # the weighted column at every weight 1 and with part 1 at weight 0, as the certificates read it
+                assert all(tuple(v[:n + 1] for v in table._weighted_column(w))
+                           == MaxProdTable(E, n)._weighted_column(w) for w in ({}, {1: 0}))
                 if n <= 28:
                     assert table.report(n) == brute[n]
 

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eulerprod import MaxProdTable, exceptions_from_spec, row_signs, sweep, weight_from_spec
-from eulerprod.terminal import ROW_LAG, ColumnCertificates, _exceeds, representable, top_coefficients
+from eulerprod.terminal import ROW_LAG, ColumnCertificates, _exceeds, _top_column, representable
 from test_maxprod import exception_specs
 from test_qseries import WEIGHT_SPECS
 
@@ -72,10 +72,10 @@ class TestTopCoefficients:
     @example(espec="3", N=36, weights={2: 8, 4: 2})
     def test_recurrence_equals_the_maximizers(self, espec, N, weights):
         table = MaxProdTable(exceptions_from_spec(espec), N)
-        X, F = top_coefficients(table, weights)
-        assert F == factorial(N // 2)
+        K, X = _top_column(table, weights)
+        assert len(K) == len(X) == N + 1
         for n in range(N + 1):
-            assert Fraction(X[n], F) == maximizer_sum(table, n, weights), (espec, n)
+            assert Fraction(X[n], factorial(K[n])) == maximizer_sum(table, n, weights), (espec, n)
 
 
 class TestCoverage:
