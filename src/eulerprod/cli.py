@@ -78,27 +78,29 @@ def _run_compute(args: argparse.Namespace) -> int:
     w = weight_from_spec(args.weights)
     if args.n_max < 1:
         raise ValueError(f"--n-max must be >= 1, got {args.n_max}")
-    table = coeffs_by_recurrence(E, w, args.ell, args.n_max + 1)
-    rows = [{"n": 0, "p": table.coeffs[0], "delta": None, "sign": None}]
-    for n in range(1, args.n_max + 1):
-        d = delta(table, n)
-        rows.append({"n": n, "p": table.coeffs[n], "delta": d.value, "sign": d.sign})
-    with _out_handle(args.out) as handle:
-        if args.format == "csv":
-            writer = csv.writer(handle)
-            writer.writerow(["n", "p", "delta", "sign"])
-            for row in rows:
-                writer.writerow([row["n"], row["p"],
-                                 "" if row["delta"] is None else row["delta"],
-                                 "" if row["sign"] is None else row["sign"]])
-        else:
-            payload = {
-                "context": {"exceptions": E.spec_text, "weights": w.id,
-                            "ell": args.ell, "n_max": args.n_max},
-                "rows": rows,
-            }
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
+    # an unwritable --out fails before the coefficients are computed, not after
+    with _kept_unless_failed(args.out) if args.out != "-" else contextlib.nullcontext():
+        table = coeffs_by_recurrence(E, w, args.ell, args.n_max + 1)
+        rows = [{"n": 0, "p": table.coeffs[0], "delta": None, "sign": None}]
+        for n in range(1, args.n_max + 1):
+            d = delta(table, n)
+            rows.append({"n": n, "p": table.coeffs[n], "delta": d.value, "sign": d.sign})
+        with _out_handle(args.out) as handle:
+            if args.format == "csv":
+                writer = csv.writer(handle)
+                writer.writerow(["n", "p", "delta", "sign"])
+                for row in rows:
+                    writer.writerow([row["n"], row["p"],
+                                     "" if row["delta"] is None else row["delta"],
+                                     "" if row["sign"] is None else row["sign"]])
+            else:
+                payload = {
+                    "context": {"exceptions": E.spec_text, "weights": w.id,
+                                "ell": args.ell, "n_max": args.n_max},
+                    "rows": rows,
+                }
+                json.dump(payload, handle, indent=2)
+                handle.write("\n")
     return EXIT_OK
 
 

@@ -127,8 +127,10 @@ def _rows(tasks: Iterator[tuple[ExceptionSet, WeightFamily, int, int]],
     flight, refilled in ell order.  A row that computes no column (n_hi = 0)
     holds its place among them but never goes to the pool: this process
     answers it in its ell turn.  However the stream ends (exhausted, closed
-    early, or a row raising), the pool drops the rows not yet started and
-    joins its workers.
+    early, or a row raising), the pool waits for every row in flight and
+    joins its workers: each such row is running or in the executor's call
+    queue (workers + 1 slots), where cancel_futures cannot reach it, and its
+    result is dropped.
     """
     if workers == 1:
         yield from map(_sign_row, tasks)

@@ -143,9 +143,9 @@ def member(E: ExceptionSet, n: int) -> bool:
     return any(fam.member(n) for fam in E.families)
 
 
-# room for one verify all, the most varied caller: a pass makes 757 calls over 87 distinct
-# (E, horizon), horizons up to 158; a grid-tall pass makes 125 calls on 1 key, grid-wide 53
-# on 2 and a classify pass 19 on 8
+# room for one verify all, the most varied caller: a pass makes 741 calls over 87 distinct
+# (E, horizon), horizons up to 158; a grid-tall pass makes 120 calls on 1 key, grid-wide 50
+# on 2 run serially and a classify pass 18 to 22 on 7 to 11, by seed
 @lru_cache(maxsize=128)
 def support_view(E: ExceptionSet, horizon: int) -> tuple[int, ...]:
     """The allowed parts in [1, horizon], ascending (always starts at 1)."""

@@ -35,11 +35,12 @@ from operator import mul
 
 from .maxprod import MaxProdTable, _square_against_neighbours
 from .model import ExceptionSet, WeightFamily, support_view
+from .qseries import _interval
 
 # row ell computes the columns that no certificate proven at a row <= ell - ROW_LAG covers, and
 # a pool keeps at most ROW_LAG rows in flight, so serial and pooled sweeps compute the same prefixes
 ROW_LAG = 8
-# mantissa width of the lower bounds on the top terms
+# a lower bound on a top term is the floor of its value to this many bits
 _BITS = 64
 
 
@@ -65,12 +66,6 @@ def _top_column(table: MaxProdTable, weights: dict[int, int]) -> tuple[tuple[int
     for r in range(1, len(M)):
         X.append(Y[r] + (X[r - 1] * perm(K[r], K[r] - K[r - 1]) if M[r - 1] == M[r] else 0))
     return K, X
-
-
-def _floor(m: int, e: int) -> tuple[int, int]:
-    """(m', e') with m' * 2^e' <= m * 2^e and m' < 2^_BITS."""
-    s = m.bit_length() - _BITS
-    return (m >> s, e + s) if s > 0 else (m, e)
 
 
 def _exceeds(a: int, ea: int, b: int, eb: int) -> bool:
@@ -139,12 +134,13 @@ class ColumnCertificates:
                 a, b = _square_against_neighbours(K, X, n) if square == neighbours else (square, neighbours)
                 if a == b:
                     continue
-                # num / den: the larger side's T^ell coefficient at every ell of this parity, over T^shift
+                # num / den: the larger side's T^ell coefficient at every ell of this parity, over T^shift.
+                # The quotient has _BITS bits or more, so m * 2^e is the floor of num / den to _BITS bits
                 i, j = (n, n) if a > b else (n - 1, n + 1)
                 num, den = X[i] * X[j], facts[K[i]] * facts[K[j]] * T ** shift
-                q = _BITS + den.bit_length() - num.bit_length()
-                m = (num << q) // den if q >= 0 else num // (den << -q)
-                parity_tops[n] = [1 if a > b else -1, T, 0, m, -q]
+                q = _BITS + max(den.bit_length() - num.bit_length(), 0)
+                m, _, e = _interval((num << q) // den, _BITS)
+                parity_tops[n] = [1 if a > b else -1, T, 0, m, e - q]
         return tops
 
     def record(self, ell: int, prefix: tuple[int, ...], bounds: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
@@ -152,32 +148,28 @@ class ColumnCertificates:
 
         Columns past the prefix take their certified signs, a tuple built once
         per parity and prefix length and shared by every such row; a row with
-        an empty prefix is that tuple itself.  Each column of the prefix
-        without a certificate for ell's parity checks its larger side's top
-        term against the other side; a computed sign that contradicts a
-        certificate raises ArithmeticError.
+        an empty prefix is that tuple itself.  In one pass over the prefix, a
+        column without a certificate for ell's parity checks its larger side's
+        top term against the other side, and a computed sign that contradicts
+        a certificate, one proven at this row included, raises ArithmeticError.
         """
         parity = ell % 2
         proven = self.proven[parity]
         n_hi = len(prefix)
-        if n_hi:
-            if self._tops is None:
-                self._tops = self._build_tops()
-            tops = self._tops[parity]
-            for n in range(1, n_hi + 1):
-                top = tops.get(n)
-                if top is None or n in proven:
-                    continue
-                sign, T, j, m, e = top
-                m, e = _floor(m * T ** (ell - j), e)
-                top[2:] = ell, m, e
-                # the larger side's top term against the upper bound on the other side alone
-                (u0, e0), (u1, e1), (u2, e2) = bounds[n - 1:n + 2]
-                other, e_other = (u0 * u2, e0 + e2) if sign > 0 else (u1 * u1, 2 * e1)
-                if _exceeds(m, e, other, e_other):
-                    proven[n] = (ell + ROW_LAG, sign)
+        if n_hi and self._tops is None:
+            self._tops = self._build_tops()
         for n, sign in enumerate(prefix, 1):
             certified = proven.get(n)
+            top = self._tops[parity].get(n) if certified is None else None
+            if top is not None:
+                top_sign, T, j, m, e = top
+                m, _, s = _interval(m * T ** (ell - j), _BITS)
+                top[2:] = ell, m, e + s
+                # the larger side's top term against the upper bound on the other side alone
+                (u0, e0), (u1, e1), (u2, e2) = bounds[n - 1:n + 2]
+                other, e_other = (u0 * u2, e0 + e2) if top_sign > 0 else (u1 * u1, 2 * e1)
+                if _exceeds(m, e + s, other, e_other):
+                    certified = proven[n] = (ell + ROW_LAG, top_sign)
             if certified is not None and certified[1] != sign:
                 raise ArithmeticError(
                     f"column {n} is certified {certified[1]:+d} but computes {sign:+d} at ell={ell}: "

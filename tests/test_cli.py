@@ -87,6 +87,26 @@ class TestCompute:
         code, _, err = run(capsys, "compute", "--n-max", "0")
         assert code == 2 and "error:" in err
 
+    def test_unwritable_out_fails_before_the_coefficients(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "coeffs_by_recurrence", lambda *args: pytest.fail("the coefficients were computed"))
+        for path in (tmp_path / "missing" / "x.csv", tmp_path):
+            code, out, err = run(capsys, "compute", "--n-max", "1500", "--ell", "20", "--out", str(path))
+            assert code == 2 and out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_compute_keeps_an_existing_out_file(self, tmp_path, capsys, monkeypatch):
+        def fail(*args):
+            raise ArithmeticError("no coefficients")
+
+        monkeypatch.setattr(cli, "coeffs_by_recurrence", fail)
+        kept, new = tmp_path / "table.csv", tmp_path / "new.csv"
+        kept.write_bytes(b"earlier\n")
+        for path in (kept, new):
+            code, _, err = run(capsys, "compute", "--out", str(path))
+            assert code == 2 and err == "error: no coefficients\n"
+        assert kept.read_bytes() == b"earlier\n" and not new.exists()
+
 
 class TestDelta:
     def test_text(self, capsys):

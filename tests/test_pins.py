@@ -80,6 +80,12 @@ def test_a_weight_file_outside_its_envelope(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+def test_an_unwritable_compute_path(tmp_path, capsys):
+    code, out, err = run(capsys, "compute", "--n-max", "20000", "--out", str(tmp_path / "missing" / "x.csv"))
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+
+
 def test_routes_on_a_wide_sweep(tmp_path, capsys):
     stats = tmp_path / "rows.jsonl"
     weights = f"custom:{ROOT / 'perfbench' / 'example2.json'}"

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eulerprod import MaxProdTable, exceptions_from_spec, row_signs, sweep, weight_from_spec
+from eulerprod import terminal
 from eulerprod.terminal import ROW_LAG, ColumnCertificates, _exceeds, _top_column, representable
 from test_maxprod import exception_specs
 from test_qseries import WEIGHT_SPECS
@@ -78,6 +79,41 @@ class TestTopCoefficients:
             assert Fraction(X[n], factorial(K[n])) == maximizer_sum(table, n, weights), (espec, n)
 
 
+class TestTopBounds:
+    @settings(max_examples=40, deadline=None)
+    @given(exception_specs(), WEIGHT_SPECS, st.integers(1, 40))
+    @example(espec="none", wspec="power", n_max=40)
+    @example(espec="3", wspec="example2", n_max=40)
+    def test_each_bound_is_the_64_bit_floor_of_its_coefficient(self, espec, wspec, n_max):
+        E, w = exceptions_from_spec(espec), weight_from_spec(wspec)
+        table = MaxProdTable(E, n_max + 1)
+        M = table.best
+        for parity, tops in enumerate(ColumnCertificates(E, w, n_max)._build_tops()):
+            # D(k): the sum over the maximizers of k of prod_{m >= 2} (m^c_m)^k_m / k_m!
+            weights = {m: Fraction(m) ** w.offsets(m)[parity] for m in range(2, n_max + 2)}
+            D = [maximizer_sum(table, k, weights) for k in range(n_max + 2)]
+            for n in range(1, n_max + 1):
+                square, neighbours = M[n] ** 2, M[n - 1] * M[n + 1]
+                a, b = (D[n] ** 2, D[n - 1] * D[n + 1]) if square == neighbours else (square, neighbours)
+                if a == b:
+                    assert n not in tops, (espec, wspec, parity, n)
+                    continue
+                sign, T, ell, m, e = tops[n]
+                i, j = (n, n) if a > b else (n - 1, n + 1)
+                assert (sign, T, ell) == (1 if a > b else -1, max(square, neighbours), 0)
+                assert m.bit_length() == 64, (espec, wspec, parity, n)
+                assert m * Fraction(2) ** e <= D[i] * D[j] < (m + 1) * Fraction(2) ** e
+
+    @settings(max_examples=25, deadline=None)
+    @given(exception_specs(), WEIGHT_SPECS, st.integers(1, 30))
+    def test_a_longer_table_stores_the_same_bounds(self, espec, wspec, n_max):
+        E, w = exceptions_from_spec(espec), weight_from_spec(wspec)
+        tops = ColumnCertificates(E, w, n_max)._build_tops()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(terminal, "MaxProdTable", lambda E, N: MaxProdTable(E, 2 * N))
+            assert ColumnCertificates(E, w, n_max)._build_tops() == tops
+
+
 class TestCoverage:
     def test_presets_have_slope_one(self):
         assert {POWER.offsets(m) for m in range(2, 52)} == {(-1, -1)}
@@ -138,6 +174,20 @@ class TestTopTerms:
         seen = []
         sweep(none, POWER, 50, 200, on_row=lambda ell, bits, n_computed, seconds: seen.append(n_computed))
         assert min(seen) == seen[-1] == 8
+
+    def test_a_column_proven_at_this_row_is_checked_at_it(self):
+        # with E = none, row 3 proves column 2 by its top term; a computed sign there that
+        # contradicts the new certificate raises at once
+        none = exceptions_from_spec("none")
+        columns = ColumnCertificates(none, POWER, 12)
+        for ell in (1, 2):
+            _, signs, bounds = row_signs(none, POWER, ell, 12)
+            assert columns.record(ell, signs, bounds) == signs
+        assert 2 not in columns.proven[1]
+        _, signs, bounds = row_signs(none, POWER, 3, 12)
+        with pytest.raises(ArithmeticError, match="column 2 is certified"):
+            columns.record(3, (signs[0], -signs[1], *signs[2:]), bounds)
+        assert columns.proven[1][2] == (3 + ROW_LAG, signs[1])
 
     def test_certified_signs_hold_at_every_later_row(self):
         # feed full rows, so every certified cell is computed as well and checked by record
