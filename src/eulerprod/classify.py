@@ -197,7 +197,12 @@ _ALL_PARTS = ExceptionSet()
 @lru_cache(maxsize=1)
 def _probe_detail(w: WeightFamily, probe_ells: tuple[int, ...]) -> tuple[tuple[str, object], ...]:
     """The items of a delta-branch detail: 2 g(4) / g(2)^2 at each probe ell, their trend and
-    bound; a call that raises leaves nothing cached."""
+    bound; a call that raises leaves nothing cached, and weights bound to fail at some probe raise
+    before any g is tabled, by WeightFamily.check on the ends of each parity."""
+    ells = sorted(probe_ells)
+    if ells[0] < 1:
+        raise ValueError(f"ell must be >= 1, got {ells[0]}")
+    w.check(ells, (2, 3, 4))
     probes = []
     for ell in probe_ells:
         g = g_table(_ALL_PARTS, w, ell, 4).values

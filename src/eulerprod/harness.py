@@ -18,7 +18,6 @@ import math
 import os
 import sys
 import time
-from bisect import bisect_right
 from collections import deque
 from contextlib import closing
 from dataclasses import dataclass
@@ -34,7 +33,7 @@ from .classify import (
     Prediction,
     _pipeline_columns,
 )
-from .model import ExceptionSet, WeightFamily
+from .model import ExceptionSet, WeightFamily, support_view
 from .qseries import row_signs
 from .terminal import ROW_LAG, ColumnCertificates
 
@@ -102,12 +101,6 @@ def _sign_row(task: tuple[ExceptionSet, WeightFamily, int, int]
     return ell, row, bits, bounds, time.perf_counter() - start
 
 
-def _check_weights(w: WeightFamily, parts: tuple[int, ...], ell: int) -> None:
-    """Raise the ValueError g_table would at the first of parts (ascending, all >= 2) whose weight at ell is invalid."""
-    for m in parts:
-        w.exponent(ell, m)
-
-
 def _worker_count(jobs: int, ell_max: int) -> int:
     """Pool size: jobs, but no more than the rows or usable cores (a pool starts all up front)."""
     if jobs < 1:
@@ -161,12 +154,12 @@ def sweep(E: ExceptionSet, w: WeightFamily, n_max: int, ell_max: int,
     proven at a row <= ell - ROW_LAG covers, by row_signs: certified on
     intervals when that prefix is large enough to gain from it, and by the
     exact recurrence otherwise or when a cell stays undecided.  Certified
-    signs fill the other cells, and the weights of every part are checked
-    on every row as a full row would.  on_row, if given, is called in ell
-    order with (ell, the interval width that decided the row or None for
-    the exact recurrence, the number of columns computed, seconds the row
-    took).  Once the budget has passed, the sweep stops after the current
-    row with BudgetExceeded.
+    signs fill the other cells.  Weights that some row would refuse raise
+    before any row or pool, by WeightFamily.check.  on_row, if given, is
+    called in ell order with (ell, the interval width that decided the
+    row or None for the exact recurrence, the number of columns computed,
+    seconds the row took).  Once the budget has passed, the sweep stops
+    after the current row with BudgetExceeded.
     """
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
@@ -175,24 +168,13 @@ def sweep(E: ExceptionSet, w: WeightFamily, n_max: int, ell_max: int,
     if budget_seconds is not None and not 0 <= budget_seconds < math.inf:
         raise ValueError(f"budget_seconds must be finite and >= 0, got {budget_seconds}")
     workers = _worker_count(jobs, ell_max)
+    w.check(range(1, ell_max + 1), support_view(E, n_max + 1)[1:])
     start = time.monotonic()
     columns = ColumnCertificates(E, w, n_max)
     rows: list[tuple[int, ...]] = []
-    # an exponent is linear in ell on each parity, so a weight valid at two rows of one parity is
-    # valid at every row of that parity between them: once rows 1 and 2 pass in full, every
-    # row passes if the top two do
-    try:
-        for ell in range(max(ell_max - 1, 1), ell_max + 1):
-            _check_weights(w, columns.parts[1:], ell)
-        every_row_valid = True
-    except ValueError:
-        every_row_valid = False
     tasks = ((E, w, ell, columns.width(ell)) for ell in range(1, ell_max + 1))
     with closing(_rows(tasks, workers)) as stream:
         for ell, prefix, bits, bounds, seconds in stream:
-            if ell <= 2 or not every_row_valid:
-                # the prefix read the weights of the parts up to len(prefix) + 1; check the rest
-                _check_weights(w, columns.parts[bisect_right(columns.parts, len(prefix) + 1):], ell)
             rows.append(columns.record(ell, prefix, bounds))
             if on_row is not None:
                 on_row(ell, bits, len(prefix), seconds)

@@ -20,7 +20,8 @@ import json
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from itertools import islice
+from typing import Iterator, Sequence
 
 
 def divisors(n: int) -> list[int]:
@@ -276,6 +277,17 @@ class WeightFamily:
         if exponent * n.bit_length() > MAX_WEIGHT_BITS:
             raise ValueError(f"f_{ell}({n}) = {n}^{exponent} may exceed the weight ceiling of {MAX_WEIGHT_BITS} bits")
         return exponent
+
+    def check(self, ells: Sequence[int], parts: Sequence[int]) -> None:
+        """Raise exponent's ValueError at the least end of ells (ascending) where one of parts, tried in
+        the order given, is invalid.  The ends are the least and the largest ell of each parity: an
+        exponent is ell plus an offset fixed on each parity, so its valid ells form one interval per
+        parity, and a range of any length costs at most four exponents per part."""
+        ends = {end for parity in (0, 1) for order in (ells, reversed(ells))
+                for end in islice((ell for ell in order if ell % 2 == parity), 1)}
+        for ell in sorted(ends):
+            for n in parts:
+                self.exponent(ell, n)
 
     def eval(self, ell: int, n: int) -> int:
         if n == 1:

@@ -87,7 +87,6 @@ class ColumnCertificates:
 
     def __init__(self, E: ExceptionSet, w: WeightFamily, n_max: int) -> None:
         self.E, self.w, self.n_max = E, w, n_max
-        self.parts = support_view(E, n_max + 1)
         rep = representable(E, n_max + 1)
         # proven[parity][n] = (first row whose prefix leaves n out, sign); parity = ell % 2
         self.proven: tuple[dict[int, tuple[int, int]], ...] = ({}, {})

@@ -33,7 +33,7 @@ from eulerprod.classify import (
     delta_branch_n_bound,
     theorem_table,
 )
-from eulerprod.model import member
+from eulerprod.model import WeightFamily, member
 from eulerprod.qseries import g_table
 from test_maxprod import exception_specs
 from test_qseries import WEIGHT_SPECS
@@ -151,6 +151,9 @@ class TestDeltaBranch:
             classify_delta_branch(E0, 7, w, range(1, 3))
         with pytest.raises(ValueError):
             classify_delta_branch(E0, 8, w, [])
+        # ell 0 is the least end of the probes, where power's exponent is negative: the ell is named
+        with pytest.raises(ValueError, match=r"^ell must be >= 1, got 0$"):
+            classify_delta_branch(E0, 8, w, (3, 0))
 
     @settings(max_examples=60, deadline=None)
     @given(espec=st.sampled_from(["none", "5", "6,7", "multiples:5"]), wspec=WEIGHT_SPECS,
@@ -195,6 +198,23 @@ class TestDeltaBranch:
         # one entry is kept: going back to an earlier pair recomputes it, once per call
         _pipeline_columns(E0, [8, 11, 14], example2, range(1, 4))
         assert len(calls) == 13
+
+    @pytest.mark.parametrize("weights,probe_ells,message", [
+        # part 2 passes the weight ceiling from probe 524,290 on, part 4 from 349,527
+        ("power", range(1, 600_001), "f_599999(2) = 2^599998 may exceed"),
+        ("power", (600_000, 1), "f_600000(2) = 2^599999 may exceed"),
+        # part 4's exponent is ell - 3 at odd ell: negative at probe 1
+        (WeightFamily("odd-4", 0, ((4, -2, 1),), -3, 0, 3), range(1, 13), "negative exponent -2 for f_1(4)"),
+    ])
+    def test_probes_bound_to_fail_table_nothing(self, monkeypatch, weights, probe_ells, message):
+        calls = []
+        monkeypatch.setattr(classify, "g_table", lambda *args: calls.append(args))
+        classify._probe_detail.cache_clear()
+        w = weight_from_spec(weights) if isinstance(weights, str) else weights
+        with pytest.raises(ValueError) as info:
+            _pipeline_columns(E0, [8], w, probe_ells)
+        assert str(info.value).startswith(message)
+        assert calls == []
 
     def test_n_bound(self):
         assert delta_branch_n_bound(2) == 8

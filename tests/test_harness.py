@@ -29,11 +29,12 @@ from eulerprod import (
     sweep,
     weight_from_spec,
 )
-from eulerprod import harness
+from eulerprod import harness, model
 from eulerprod.harness import SignGrid, _worker_count
 from eulerprod.qseries import LADDER_BITS
 from eulerprod.suites import BATTERY
 from test_maxprod import exception_specs
+from test_model import failing_families
 from test_qseries import WEIGHT_SPECS
 
 POWER = weight_from_spec("power")
@@ -114,10 +115,12 @@ class TestSweep:
         assert len(partial.signs) == partial.ell_range[1]
 
     def test_serial_rows_are_not_built_up_front(self):
+        # 500,000 tasks built up front would take tens of MB; from row 524,290 on, part 2's weight
+        # passes the ceiling, and the sweep is refused
         tracemalloc.start()
         try:
             with pytest.raises(BudgetExceeded) as info:
-                sweep(exceptions_from_spec("none"), POWER, 2, 10**6, budget_seconds=0)
+                sweep(exceptions_from_spec("none"), POWER, 2, 500_000, budget_seconds=0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -151,11 +154,16 @@ class TestSweep:
             assert partial.signs == full.signs[:stop]
             assert seen == list(range(1, stop + 1))
 
-    def test_pooled_row_error_joins_its_workers(self, tmp_path):
-        path = tmp_path / "heavy.json"
-        path.write_text(json.dumps({"base": 10**6, "phi": 10**6, "psi": 10**6, "B": 0}))
-        with pytest.raises(ValueError, match="ceiling"):
-            sweep(exceptions_from_spec("none"), weight_from_spec(f"custom:{path}"), 4, 6, jobs=2)
+    def test_pooled_row_error_joins_its_workers(self):
+        class Stop(Exception):
+            pass
+
+        def on_row(ell, bits, n_computed, seconds):
+            if ell == 3:
+                raise Stop
+
+        with pytest.raises(Stop):
+            sweep(E24, POWER, 30, 12, jobs=2, on_row=on_row)
         assert multiprocessing.active_children() == []
 
     def test_validation(self):
@@ -205,6 +213,34 @@ class TestSweep:
             grid.sign(1, 3)
         with pytest.raises(IndexError):
             grid.column(0)
+
+
+# a weight ceiling of 160 bits in place of 2^20 lets the ceiling fail by ell 40 on parts up to 31,
+# while every row that passes it stays small enough to compute
+_LOW_CEILING = 160
+
+
+@settings(max_examples=100, deadline=None)
+@given(exception_specs(), failing_families(_LOW_CEILING), st.integers(2, 30), st.integers(1, 40))
+def test_weights_are_refused_before_row_1_exactly_when_some_row_refuses_them(espec, w, n_max, ell_max):
+    E = exceptions_from_spec(espec)
+    with mock.patch.object(model, "MAX_WEIGHT_BITS", _LOW_CEILING):
+        errors = []
+        for ell in range(1, ell_max + 1):
+            try:
+                row_signs(E, w, ell, n_max)
+            except ValueError as exc:
+                errors.append(str(exc))
+        seen = []
+        if not errors:
+            sweep(E, w, n_max, ell_max, on_row=lambda *row: seen.append(row))
+            assert len(seen) == ell_max
+            return
+        with pytest.raises(ValueError) as info:
+            sweep(E, w, n_max, ell_max, on_row=lambda *row: seen.append(row))
+    # the error of a failing row, one at an end of its parity
+    assert str(info.value) in errors
+    assert seen == []
 
 
 class TestSharedPool:

@@ -372,3 +372,69 @@ def test_formula_linear_form_matches_python(formula):
     for ell in range(1, 6):
         alt = (-1) ** ell
         assert a * ell + b + c * alt == eval(formula, {}, {"ell": ell, "alt": alt})
+
+
+@st.composite
+def failing_families(draw, ceiling=MAX_WEIGHT_BITS):
+    """Weight families inside their envelope whose weights may be invalid at some ell <= 45: each
+    override's exponent is near 0, so it can go negative at ell 1 or 2, or within 45 steps of the
+    exponent at which its part passes a weight ceiling of `ceiling` bits."""
+    base = draw(st.integers(-3, 1))
+    overrides = []
+    for n in sorted(draw(st.lists(st.integers(2, 40), unique=True, max_size=3))):
+        b = draw(st.one_of(st.integers(-4, 2), st.integers(0, 45).map(lambda k: ceiling // n.bit_length() - k)))
+        overrides.append((n, b, draw(st.integers(-2, 2))))
+    phi = min([base] + [b - abs(c) for _, b, c in overrides])
+    psi = max([base] + [b + abs(c) for _, b, c in overrides])
+    return WeightFamily("drawn", base, tuple(overrides), phi, psi, psi - phi)
+
+
+def _ell_sets():
+    """Ascending ells: a range, or any set of them."""
+    return st.one_of(st.builds(lambda lo, k: range(lo, lo + k), st.integers(1, 5), st.integers(0, 45)),
+                     st.lists(st.integers(1, 45), unique=True).map(sorted))
+
+
+def _failure(w, ell, parts):
+    """exponent's message at the first of parts whose weight at ell is invalid, or None."""
+    for n in parts:
+        try:
+            w.exponent(ell, n)
+        except ValueError as exc:
+            return str(exc)
+    return None
+
+
+@st.composite
+def _parts_of(draw, w):
+    """Some parts, in any order, with every part w overrides among them."""
+    drawn = draw(st.lists(st.integers(2, 40), unique=True, max_size=4))
+    return draw(st.permutations(sorted(set(drawn) | {n for n, _, _ in w.overrides})))
+
+
+@settings(max_examples=200, deadline=None)
+@given(failing_families().flatmap(lambda w: st.tuples(st.just(w), _ell_sets(), _parts_of(w))))
+# part 3 passes the ceiling from ell 6 on; of the ends 1, 2, 39 and 40 the least to fail is 39
+@example((WeightFamily("drawn", -1, ((3, 524283, 0),), -1, 524283, 524284), range(1, 41), [2, 3]))
+# part 3's exponent is -1 at ell 2 and ell + 3 at odd ell
+@example((WeightFamily("drawn", -1, ((3, 0, -3),), -3, 3, 6), range(1, 41), [3]))
+def test_check_raises_exactly_when_some_ell_fails_at_its_least_failing_end(case):
+    w, ells, parts = case
+    failing = [ell for ell in ells if _failure(w, ell, parts)]
+    ends = sorted({f(same) for parity in (0, 1) if (same := [ell for ell in ells if ell % 2 == parity])
+                   for f in (min, max)})
+    if not failing:
+        w.check(ells, parts)
+        return
+    message = next(filter(None, (_failure(w, ell, parts) for ell in ends)))
+    with pytest.raises(ValueError) as info:
+        w.check(ells, parts)
+    assert str(info.value) == message
+
+
+def test_check_reads_a_range_at_its_ends_only():
+    # 10^9 rows: a pass over them would take minutes
+    w = weight_from_spec("power")
+    with pytest.raises(ValueError, match=r"^f_999999999\(2\) = 2\^999999998 may exceed"):
+        w.check(range(1, 10**9 + 1), (2, 3))
+    w.check(range(1, 500_001), (2, 3))

@@ -1,4 +1,5 @@
-"""The smoke steps of the CI workflow, run in-process through cli.main with the same numbers.
+"""The smoke steps of the CI workflow, run in-process through cli.main with the same numbers; a step
+that guards against a runaway runs in a subprocess under the step's timeout.
 
 Each digest is read from the workflow's `sha256sum -c` lines, so it is written in one place.
 The demos' stdout digests are checked by tests/test_demos.py, which runs each demo once.
@@ -6,8 +7,13 @@ The demos' stdout digests are checked by tests/test_demos.py, which runs each de
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from eulerprod.cli import main
 
@@ -78,6 +84,20 @@ def test_a_weight_file_outside_its_envelope(tmp_path, capsys):
     code, out, err = run(capsys, "classify", "--weights", f"custom:{path}", "--n", "8")
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--exceptions", "none", "--n-max", "50", "--ell-max", "600000"),
+    ("classify", "--exceptions", "none", "--n", "8", "--probe-ell", "1..600000"),
+])
+def test_weights_past_the_ceiling(tmp_path, argv):
+    # in a subprocess under the workflow's timeout, so that a runaway fails instead of hanging
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run([sys.executable, "-m", "eulerprod", *argv], cwd=tmp_path, env=env,
+                            capture_output=True, text=True, timeout=20)
+    assert result.returncode == 2 and result.stdout == ""
+    [line] = result.stderr.splitlines()
+    assert line.startswith("error: ") and "may exceed the weight ceiling" in line
 
 
 def test_an_unwritable_compute_path(tmp_path, capsys):
