@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .maxprod import SHARED_TABLES, MaxProdTable, shared_table
 from .model import PRESETS, ExceptionSet, WeightFamily, member, next_allowed
@@ -189,6 +189,25 @@ def _trend(values: list[Fraction]) -> str:
 
 # 1, 2, 3 and 4 all allowed: g(2) = 1 + 2 f(2) and g(4) = g(2) + 4 f(4) for every such E
 _ALL_PARTS = ExceptionSet()
+# the most weight bits one set of probes may build, each probe counting its largest n^e (n = 2, 3, 4)
+# as e times the bit length of n, as the weight ceiling does: 3 (ell - 1) on power weights, so the
+# longest range accepted there is 1..3344; 1..3000 (13.5M bits) took 0.45 s and printed 5.5 MB
+MAX_PROBE_BITS = 1 << 24
+
+
+def check_probes(w: WeightFamily, ells: Sequence[int]) -> None:
+    """Raise ValueError unless the ascending, non-empty probe ells are >= 1, valid for w at parts 2, 3
+    and 4 (WeightFamily.check), and build at most MAX_PROBE_BITS bits of weights in all.  The sum
+    stops at the first probe past the ceiling, so a range of any length is refused at once."""
+    if ells[0] < 1:
+        raise ValueError(f"ell must be >= 1, got {ells[0]}")
+    w.check(ells, (2, 3, 4))
+    size = 0
+    for ell in ells:
+        size += max(w.exponent(ell, n) * n.bit_length() for n in (2, 3, 4))
+        if size > MAX_PROBE_BITS:
+            raise ValueError(f"the probes up to ell {ell} build more than {MAX_PROBE_BITS} bits of weights, "
+                             "the ceiling for one set of probes")
 
 
 # one entry: every caller in the package (the CLI, default_predictions, a
@@ -197,12 +216,9 @@ _ALL_PARTS = ExceptionSet()
 @lru_cache(maxsize=1)
 def _probe_detail(w: WeightFamily, probe_ells: tuple[int, ...]) -> tuple[tuple[str, object], ...]:
     """The items of a delta-branch detail: 2 g(4) / g(2)^2 at each probe ell, their trend and
-    bound; a call that raises leaves nothing cached, and weights bound to fail at some probe raise
-    before any g is tabled, by WeightFamily.check on the ends of each parity."""
-    ells = sorted(probe_ells)
-    if ells[0] < 1:
-        raise ValueError(f"ell must be >= 1, got {ells[0]}")
-    w.check(ells, (2, 3, 4))
+    bound; a call that raises leaves nothing cached, and probes that check_probes refuses raise
+    before any g is tabled."""
+    check_probes(w, sorted(probe_ells))
     probes = []
     for ell in probe_ells:
         g = g_table(_ALL_PARTS, w, ell, 4).values

@@ -20,10 +20,10 @@ import time
 from dataclasses import asdict, is_dataclass
 from fractions import Fraction
 
-from .classify import classify_pipeline
+from .classify import check_probes, classify_pipeline
 from .harness import BudgetExceeded, default_predictions, emit_grid, stabilization, sweep
 from .maxprod import MaxProdReport, closed_form_max, max_product
-from .model import _parse_positive, exceptions_from_spec, weight_from_spec
+from .model import WeightFamily, _parse_positive, exceptions_from_spec, weight_from_spec
 from .qseries import coeffs_by_recurrence, delta
 from .suites import SUITE_IDS, verify_suite
 
@@ -47,6 +47,19 @@ def _jsonable(obj):
 
 
 @contextlib.contextmanager
+def _full_digits():
+    """Lift Python's limit on int-to-str digits while a result is written, so exact integers print
+    in full; arguments and weight files are read under the default limit.  Before 3.10.7 there is no limit."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
+    set_limit(0)
+    try:
+        yield
+    finally:
+        set_limit(limit)
+
+
+@contextlib.contextmanager
 def _out_handle(path: str):
     if path == "-":
         yield sys.stdout
@@ -55,14 +68,17 @@ def _out_handle(path: str):
             yield handle
 
 
-def _parse_probe_range(text: str) -> range:
+def _parse_probe_range(text: str, w: WeightFamily) -> range:
+    """The probe range A..B, checked against w before it is listed, whether or not a column reaches it."""
     lo, sep, hi = text.partition("..")
     if not sep:
         raise ValueError(f"probe range must look like 'a..b', got {text!r}")
     start, stop = _parse_positive(lo, text), _parse_positive(hi, text)
     if start < 1 or stop < start:
         raise ValueError(f"probe range {text!r} is empty or starts below 1")
-    return range(start, stop + 1)
+    probes = range(start, stop + 1)
+    check_probes(w, probes)
+    return probes
 
 
 def _add_series_options(p: argparse.ArgumentParser) -> None:
@@ -85,14 +101,12 @@ def _run_compute(args: argparse.Namespace) -> int:
         for n in range(1, args.n_max + 1):
             d = delta(table, n)
             rows.append({"n": n, "p": table.coeffs[n], "delta": d.value, "sign": d.sign})
-        with _out_handle(args.out) as handle:
+        with _out_handle(args.out) as handle, _full_digits():
             if args.format == "csv":
-                writer = csv.writer(handle)
-                writer.writerow(["n", "p", "delta", "sign"])
-                for row in rows:
-                    writer.writerow([row["n"], row["p"],
-                                     "" if row["delta"] is None else row["delta"],
-                                     "" if row["sign"] is None else row["sign"]])
+                # None, the delta and sign of row 0, is written as an empty field
+                writer = csv.DictWriter(handle, ["n", "p", "delta", "sign"])
+                writer.writeheader()
+                writer.writerows(rows)
             else:
                 payload = {
                     "context": {"exceptions": E.spec_text, "weights": w.id,
@@ -110,22 +124,23 @@ def _run_delta(args: argparse.Namespace) -> int:
     if args.n < 1:
         raise ValueError(f"--n must be >= 1, got {args.n}")
     table = coeffs_by_recurrence(E, w, args.ell, args.n + 1)
-    d = delta(table, args.n)
-    if args.format == "json":
-        print(json.dumps(_jsonable(d)))
-    else:
-        print(f"n={d.n} delta={d.value} sign={d.sign:+d}")
+    _print_result(delta(table, args.n), args.format, lambda d: [f"n={d.n} delta={d.value} sign={d.sign:+d}"])
     return EXIT_OK
 
 
-def _print_maxprod(report: MaxProdReport) -> None:
-    print(f"n: {report.n}")
-    print(f"max product: {report.product}")
-    print("maximizers: " + "; ".join("+".join(str(p) for p in m.parts) or "(empty)"
-                                     for m in report.maximizers))
-    print(f"unique: {'yes' if report.unique else 'no'}")
-    print(f"coefficient: {report.coefficient}")
-    print(f"runner-up: {report.second_product if report.second_product is not None else 'none'}")
+def _print_result(result, fmt: str, text_lines) -> None:
+    """Print result as one json line, or as the lines text_lines(result) gives, every integer in full."""
+    with _full_digits():
+        print(json.dumps(_jsonable(result)) if fmt == "json" else "\n".join(text_lines(result)))
+
+
+def _maxprod_lines(report: MaxProdReport) -> list[str]:
+    return [f"n: {report.n}",
+            f"max product: {report.product}",
+            "maximizers: " + "; ".join("+".join(str(p) for p in m.parts) or "(empty)" for m in report.maximizers),
+            f"unique: {'yes' if report.unique else 'no'}",
+            f"coefficient: {report.coefficient}",
+            f"runner-up: {report.second_product if report.second_product is not None else 'none'}"]
 
 
 def _run_maxprod(args: argparse.Namespace) -> int:
@@ -137,25 +152,17 @@ def _run_maxprod(args: argparse.Namespace) -> int:
             return EXIT_OK
     else:
         report = max_product(E, args.n)
-    if args.format == "json":
-        print(json.dumps(_jsonable(report)))
-    else:
-        _print_maxprod(report)
+    _print_result(report, args.format, _maxprod_lines)
     return EXIT_OK
 
 
 def _run_classify(args: argparse.Namespace) -> int:
     E = exceptions_from_spec(args.exceptions)
     w = weight_from_spec(args.weights)
-    probes = None if args.probe_ell is None else _parse_probe_range(args.probe_ell)
-    prediction = classify_pipeline(E, args.n, w, probes)
-    if args.format == "json":
-        print(json.dumps(_jsonable(prediction)))
-    else:
-        print(f"verdict: {prediction.verdict}")
-        print(f"mechanism: {prediction.mechanism}")
-        for key, value in prediction.detail.items():
-            print(f"{key}: {_jsonable(value)}")
+    probes = None if args.probe_ell is None else _parse_probe_range(args.probe_ell, w)
+    _print_result(classify_pipeline(E, args.n, w, probes), args.format, lambda p: [
+        f"verdict: {p.verdict}", f"mechanism: {p.mechanism}",
+        *(f"{key}: {_jsonable(value)}" for key, value in p.detail.items())])
     return EXIT_OK
 
 

@@ -24,22 +24,6 @@ from itertools import islice
 from typing import Iterator, Sequence
 
 
-def divisors(n: int) -> list[int]:
-    """Ascending list of the positive divisors of n."""
-    if n < 1:
-        raise ValueError(f"divisors undefined for {n}")
-    small: list[int] = []
-    large: list[int] = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
 @dataclass(frozen=True)
 class PowersOf:
     """The family base, base^2, base^3, ..."""
@@ -174,16 +158,6 @@ def next_allowed(E: ExceptionSet, m: int) -> int | None:
     while member(E, k):
         k += 1
     return k
-
-
-# room for every lookup of the one caller, check_g_bounds: the oracles suite (and so verify
-# all) asks for 1,000 distinct (E, n), 10 battery sets x n 1..100, each read 8 times (once
-# at each of 8 ells); no other subcommand or perfbench workload checks the g-envelope
-@lru_cache(maxsize=1024)
-def _allowed_divisors(E: ExceptionSet, n: int) -> tuple[int, ...]:
-    """Ascending divisors of n that are allowed parts; one scan per (E, n), since the
-    g-envelope check asks for the same n at every ell."""
-    return tuple(d for d in divisors(n) if not member(E, d))
 
 
 # ASCII decimal digits only, as in override keys and exponent formulas; int() alone would also

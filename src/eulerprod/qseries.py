@@ -20,7 +20,7 @@ from math import factorial
 from operator import add, ge
 from typing import Iterator, Sequence
 
-from .model import ExceptionSet, WeightFamily, _allowed_divisors, support_view
+from .model import ExceptionSet, WeightFamily, member, support_view
 
 
 @dataclass(frozen=True)
@@ -317,14 +317,18 @@ def check_bounds(t: PartitionTable, n: int, maxprod_M: int, parts_count_k: int) 
     return lower_ok and upper_ok
 
 
-def check_g_bounds(gt: GTable, n: int) -> bool:
-    """Exact envelope (n_S)^(phi+1) <= g(n) <= sigma(n) * (n_S)^psi, where n_S is the largest
-    allowed divisor of n and sigma(n) the sum of the allowed divisors."""
-    if not 1 <= n <= gt.horizon:
-        raise ValueError(f"n must lie in 1..{gt.horizon}, got {n}")
-    allowed = _allowed_divisors(gt.exceptions, n)
-    ns = allowed[-1]
-    phi = gt.weights.phi(gt.ell)
-    psi = gt.weights.psi(gt.ell)
-    g = gt.values[n]
-    return ns ** (phi + 1) <= g <= sum(allowed) * ns ** psi
+def check_g_bounds(gt: GTable) -> list[int]:
+    """The n in 1..horizon, ascending, where the exact envelope (n_S)^(phi+1) <= g(n) <= sigma(n) * (n_S)^psi
+    fails; n_S is the largest allowed divisor of n and sigma(n) the sum of the allowed divisors, both
+    from one sieve over d = 1..horizon.  The sieve asks member, not support_view, which g_table sums
+    over, so the check stays independent of the table it checks."""
+    N = gt.horizon
+    largest, sigma = [0] * (N + 1), [0] * (N + 1)
+    for d in range(1, N + 1):
+        if not member(gt.exceptions, d):
+            for m in range(d, N + 1, d):
+                largest[m] = d  # d ascends, so the last one written is the largest
+                sigma[m] += d
+    phi, psi = gt.weights.phi(gt.ell), gt.weights.psi(gt.ell)
+    return [n for n in range(1, N + 1)
+            if not largest[n] ** (phi + 1) <= gt.values[n] <= sigma[n] * largest[n] ** psi]

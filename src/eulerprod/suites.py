@@ -120,10 +120,7 @@ def _suite_oracles() -> SuiteReport:
     for espec in BATTERY:
         E = exceptions_from_spec(espec)
         for ell in range(1, 9):
-            gt = g_table(E, power, ell, 100)
-            for n in range(1, 101):
-                if not check_g_bounds(gt, n):
-                    failures.append(f"E={{{espec}}} ell={ell} n={n}")
+            failures.extend(f"E={{{espec}}} ell={ell} n={n}" for n in check_g_bounds(g_table(E, power, ell, 100)))
     checks.append(_result("g-envelope", failures,
                           "divisor-sum bounds, battery x ell 1..8, n <= 100"))
     return SuiteReport("oracles", tuple(checks))

@@ -24,10 +24,12 @@ from eulerprod.classify import (
     MECH_TABLE,
     UNKNOWN,
     ZERO,
+    MAX_PROBE_BITS,
     Prediction,
     _a_ratio,
     _basic,
     _pipeline_columns,
+    check_probes,
     classify_delta_branch,
     classify_refined,
     delta_branch_n_bound,
@@ -214,6 +216,25 @@ class TestDeltaBranch:
         with pytest.raises(ValueError) as info:
             _pipeline_columns(E0, [8], w, probe_ells)
         assert str(info.value).startswith(message)
+        assert calls == []
+
+    def test_probe_size_ceiling(self):
+        # on power weights a probe at ell builds 4^(ell - 1), counted as 3 (ell - 1) bits
+        power = weight_from_spec("power")
+        assert sum(3 * (ell - 1) for ell in range(1, 3345)) <= MAX_PROBE_BITS
+        assert sum(3 * (ell - 1) for ell in range(1, 3346)) > MAX_PROBE_BITS
+        check_probes(power, range(1, 3345))
+        for probes in (range(1, 3346), range(1, 300_000)):
+            with pytest.raises(ValueError, match=f"probes up to ell 3345 build more than {MAX_PROBE_BITS} bits"):
+                check_probes(power, probes)
+
+    @pytest.mark.parametrize("probe_ells", [range(1, 300_001), tuple(range(4000, 0, -1))])
+    def test_probes_past_the_size_ceiling_table_nothing(self, monkeypatch, probe_ells):
+        calls = []
+        monkeypatch.setattr(classify, "g_table", lambda *args: calls.append(args))
+        classify._probe_detail.cache_clear()
+        with pytest.raises(ValueError, match="the ceiling for one set of probes"):
+            _pipeline_columns(E0, [8], weight_from_spec("power"), probe_ells)
         assert calls == []
 
     def test_n_bound(self):

@@ -195,6 +195,47 @@ class TestClassify:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+    @pytest.mark.parametrize("espec", ["none", "2"])
+    def test_probe_range_past_its_size_ceiling(self, capsys, espec):
+        # refused up front, also where no column reaches the probes (2 excluded)
+        code, out, err = run(capsys, "classify", "--exceptions", espec, "--n", "8", "--probe-ell", "1..300000")
+        assert code == 2 and out == ""
+        [line] = err.splitlines()
+        assert line.startswith("error: the probes up to ell 3345 build more than")
+
+
+class TestFullDigits:
+    """Exact integers print in full; arguments and weight files are read under Python's default digit limit."""
+
+    def test_every_command_prints_every_digit(self, capsys):
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+        for argv in [
+            ("compute", "--exceptions", "none", "--ell", "1000", "--n-max", "30"),
+            ("compute", "--exceptions", "none", "--ell", "1000", "--n-max", "30", "--format", "json"),
+            ("delta", "--exceptions", "none", "--ell", "1000", "--n", "30"),
+            ("delta", "--exceptions", "none", "--ell", "1000", "--n", "30", "--format", "json"),
+            ("maxprod", "--exceptions", "none", "--closed-form", "--n", "30000"),
+            ("classify", "--exceptions", "none", "--n", "8", "--probe-ell", "12000..12001"),
+        ]:
+            code, out, err = run(capsys, *argv)
+            assert code == 0 and err == "", argv
+            assert max(map(len, re.findall("[0-9]+", out))) > 4300, argv
+            # the limit is back in place once the result is written
+            assert limit is None or sys.get_int_max_str_digits() == limit
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit before Python 3.10.7")
+    def test_arguments_and_weight_files_keep_the_limit(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["delta", "--n", "9" * 5000])
+        err = capsys.readouterr().err
+        assert info.value.code == 2 and err.count("error:") == 1 and "invalid int value" in err
+        path = tmp_path / "long.json"
+        path.write_text('{"base": ' + "1" * 5000 + ', "phi": -1, "psi": -1, "B": 0}')
+        code, out, err = run(capsys, "compute", "--weights", f"custom:{path}")
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert err.startswith("error:") and "limit" in err and err.count("\n") == 1
+
+
 class TestSweep:
     def test_grid_file(self, tmp_path, capsys):
         path = tmp_path / "grid.csv"

@@ -14,14 +14,12 @@ from eulerprod.model import (
     PowersOf,
     SupportComplement,
     WeightFamily,
-    _allowed_divisors,
     _linear_form,
-    divisors,
     member,
     support_view,
 )
 from test_maxprod import exception_specs
-from test_qseries import _weight_file, broken_weight_schemas
+from test_qseries import _weight_file, allowed_divisors, broken_weight_schemas, reported_at
 
 
 @pytest.mark.parametrize("n,expected", [
@@ -32,12 +30,10 @@ from test_qseries import _weight_file, broken_weight_schemas
     (36, [1, 2, 3, 4, 6, 9, 12, 18, 36]),
 ])
 def test_divisors(n, expected):
-    assert divisors(n) == expected
-
-
-def test_divisors_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        divisors(0)
+    # with nothing excluded every divisor is allowed: n_S = n and sigma(n) is the divisor sum
+    assert allowed_divisors(ExceptionSet(), n) == expected
+    assert reported_at("none", n, n) == reported_at("none", n, sum(expected)) == []
+    assert reported_at("none", n, n - 1) == reported_at("none", n, sum(expected) + 1) == [n]
 
 
 def excluded(E, limit):
@@ -168,7 +164,10 @@ class TestNextAllowed:
     ("support:1,3", 9, 4),
 ])
 def test_sigma_restricted_divisor_sum(espec, n, expected):
-    assert sum(_allowed_divisors(exceptions_from_spec(espec), n)) == expected
+    # sigma(n) is the g-envelope's upper end at ell = 1 on power weights
+    assert sum(allowed_divisors(exceptions_from_spec(espec), n)) == expected
+    assert reported_at(espec, n, expected) == []
+    assert reported_at(espec, n, expected + 1) == [n]
 
 
 @pytest.mark.parametrize("espec,n,expected", [
@@ -181,7 +180,10 @@ def test_sigma_restricted_divisor_sum(espec, n, expected):
     ("support:1,3", 10, 1),
 ])
 def test_largest_allowed_divisor(espec, n, expected):
-    assert _allowed_divisors(exceptions_from_spec(espec), n)[-1] == expected
+    # n_S is the g-envelope's lower end at ell = 1 on power weights
+    assert allowed_divisors(exceptions_from_spec(espec), n)[-1] == expected
+    assert reported_at(espec, n, expected) == []
+    assert reported_at(espec, n, expected - 1) == [n]
 
 
 class TestWeightFamilies:

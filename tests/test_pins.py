@@ -5,7 +5,10 @@ Each digest is read from the workflow's `sha256sum -c` lines, so it is written i
 The demos' stdout digests are checked by tests/test_demos.py, which runs each demo once.
 """
 
+import contextlib
+import csv
 import hashlib
+import io
 import json
 import os
 import re
@@ -15,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from eulerprod import coeffs_by_product, exceptions_from_spec, weight_from_spec
 from eulerprod.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -98,6 +102,48 @@ def test_weights_past_the_ceiling(tmp_path, argv):
     assert result.returncode == 2 and result.stdout == ""
     [line] = result.stderr.splitlines()
     assert line.startswith("error: ") and "may exceed the weight ceiling" in line
+
+
+def test_a_probe_range_past_its_size_ceiling(tmp_path):
+    # in a subprocess under the workflow's timeout, so that a runaway fails instead of hanging
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run([sys.executable, "-m", "eulerprod", "classify", "--exceptions", "none", "--n", "8",
+                             "--probe-ell", "1..300000"], cwd=tmp_path, env=env, capture_output=True, text=True,
+                            timeout=20)
+    assert result.returncode == 2 and result.stdout == ""
+    [line] = result.stderr.splitlines()
+    assert line.startswith("error: ") and "ceiling for one set of probes" in line
+
+
+@contextlib.contextmanager
+def full_digits():
+    """Read and write integers of any length here, as the workflow's check does."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_exact_integers_in_full(capsys):
+    outs = {}
+    for fmt in ("csv", "json"):
+        code, outs[fmt], _ = run(capsys, "compute", "--exceptions", "none", "--ell", "1000", "--n-max", "30",
+                                 "--format", fmt)
+        assert code == 0
+    code, outs["txt"], _ = run(capsys, "delta", "--exceptions", "none", "--ell", "1000", "--n", "30")
+    assert code == 0
+    with full_digits():
+        p = coeffs_by_product(exceptions_from_spec("none"), weight_from_spec("power"), 1000, 31).coeffs
+        rows = list(csv.DictReader(io.StringIO(outs["csv"])))
+        assert len(rows[30]["p"]) > 4300
+        assert [int(row["p"]) for row in rows] == list(p[:31])
+        assert [row["p"] for row in json.loads(outs["json"])["rows"]] == list(p[:31])
+        assert outs["txt"] == f"n=30 delta={p[30] ** 2 - p[29] * p[31]} sign=+1\n"
 
 
 def test_an_unwritable_compute_path(tmp_path, capsys):

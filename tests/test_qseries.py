@@ -1,5 +1,6 @@
 import json
 import tempfile
+from dataclasses import replace
 from math import comb
 
 import pytest
@@ -17,6 +18,7 @@ from eulerprod import (
     weight_from_spec,
 )
 from eulerprod import harness, qseries
+from eulerprod.model import member
 from eulerprod.qseries import (
     BOUNDED_MIN_SIZE,
     LADDER_BITS,
@@ -238,15 +240,39 @@ def test_coefficient_bounds_reject_negative_envelope(tmp_path):
         check_bounds(t, 4, 4, 2)
 
 
+def allowed_divisors(E, n):
+    """The allowed divisors of n, ascending, listed without a sieve."""
+    return [d for d in range(1, n + 1) if n % d == 0 and not member(E, d)]
+
+
+def envelope(gt, n):
+    """(lower, upper): the g-envelope n_S^(phi+1) <= g(n) <= sigma(n) n_S^psi of gt at n."""
+    allowed = allowed_divisors(gt.exceptions, n)
+    return allowed[-1] ** (gt.weights.phi(gt.ell) + 1), sum(allowed) * allowed[-1] ** gt.weights.psi(gt.ell)
+
+
+def envelope_failures(gt):
+    """The n where g(n) leaves its envelope, one n at a time."""
+    return [n for n in range(1, gt.horizon + 1) for lower, upper in [envelope(gt, n)]
+            if not lower <= gt.values[n] <= upper]
+
+
+def with_g(gt, n, value):
+    """gt with g(n) replaced by value."""
+    return replace(gt, values=gt.values[:n] + (value,) + gt.values[n + 1:])
+
+
+def reported_at(espec, n, value):
+    """check_g_bounds on the power table at ell = 1, horizon n, with g(n) = value; there phi = psi = 0,
+    so the envelope at n reads n_S <= g(n) <= sigma(n), and every other g(m) is sigma(m)."""
+    return check_g_bounds(with_g(g_table(exceptions_from_spec(espec), POWER, 1, n), n, value))
+
+
 def test_g_envelope_checks():
     for espec in ("none", "2,4", "powers:2"):
         E = exceptions_from_spec(espec)
         for ell in (1, 2, 3):
-            gt = g_table(E, POWER, ell, 60)
-            assert all(check_g_bounds(gt, n) for n in range(1, 61)), (espec, ell)
-    gt = g_table(exceptions_from_spec("none"), POWER, 1, 5)
-    with pytest.raises(ValueError):
-        check_g_bounds(gt, 0)
+            assert check_g_bounds(g_table(E, POWER, ell, 60)) == [], (espec, ell)
 
 
 @settings(max_examples=40, deadline=None)
@@ -254,8 +280,28 @@ def test_g_envelope_checks():
 def test_g_envelope_holds_on_every_family_that_loads(espec, wspec):
     E, w = exceptions_from_spec(espec), weight_from_spec(wspec)
     for ell in range(1, 9):
-        gt = g_table(E, w, ell, 40)
-        assert all(check_g_bounds(gt, n) for n in range(1, 41)), (espec, wspec, ell)
+        assert check_g_bounds(g_table(E, w, ell, 40)) == [], (espec, wspec, ell)
+
+
+@settings(max_examples=60, deadline=None)
+@given(exception_specs(), WEIGHT_SPECS, st.integers(1, 150), st.integers(1, 8), st.data())
+def test_g_envelope_sieve_matches_the_divisors_of_each_n(espec, wspec, N, ell, data):
+    # some g(n) moved to an edge of its envelope or one past it, so that the lists compared are not all empty
+    gt = g_table(exceptions_from_spec(espec), weight_from_spec(wspec), ell, N)
+    for n in data.draw(st.lists(st.integers(1, N), max_size=5)):
+        lower, upper = envelope(gt, n)
+        gt = with_g(gt, n, data.draw(st.sampled_from([lower - 1, lower, upper, upper + 1])))
+    assert check_g_bounds(gt) == envelope_failures(gt)
+
+
+@settings(max_examples=40, deadline=None)
+@given(exception_specs(), st.sampled_from(PRESETS), st.integers(1, 150), st.integers(1, 8), st.data())
+def test_one_g_past_its_envelope_is_reported_alone(espec, wspec, N, ell, data):
+    gt = g_table(exceptions_from_spec(espec), weight_from_spec(wspec), ell, N)
+    n = data.draw(st.integers(1, N))
+    lower, upper = envelope(gt, n)
+    assert check_g_bounds(with_g(gt, n, lower - 1)) == check_g_bounds(with_g(gt, n, upper + 1)) == [n]
+    assert check_g_bounds(with_g(gt, n, lower)) == check_g_bounds(with_g(gt, n, upper)) == []
 
 
 def test_variant_weights_change_coefficients():
